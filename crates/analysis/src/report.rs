@@ -2,9 +2,10 @@
 //!
 //! A [`Report`] groups the findings of one analysis run under a subject
 //! label (typically `benchmark@voltage/seed`); [`render_text`] and
-//! [`render_json`] turn a batch of reports into the two output formats
-//! the `dvs-lint` CLI offers. JSON is emitted by hand — the workspace's
-//! vendored serde speaks only its internal binary format.
+//! [`render_json_envelope`] turn a batch of reports into the two output
+//! formats the report-based CLIs (`dvs-lint`, `dvs-verify`, `dvs-diff`)
+//! offer. JSON is emitted by hand — the workspace's vendored serde
+//! speaks only its internal binary format.
 
 use dvs_linker::{json_escape, Diagnostic, Severity};
 
@@ -63,12 +64,12 @@ pub fn render_text(reports: &[Report]) -> String {
     out
 }
 
-/// Renders reports as a single JSON document:
+/// Renders the body [`render_json_envelope`] wraps:
 ///
 /// ```json
 /// {"reports":[{"subject":"…","diagnostics":[…]}],"denies":0,"warns":0}
 /// ```
-pub fn render_json(reports: &[Report]) -> String {
+fn render_json(reports: &[Report]) -> String {
     let mut out = String::from("{\"reports\":[");
     for (i, report) in reports.iter().enumerate() {
         if i > 0 {
@@ -109,9 +110,10 @@ pub struct LintMeta {
 /// ```
 ///
 /// `schema` identifies the producing tool and format revision
-/// (`dvs-lint/1`, `dvs-verify/1`), mirroring `dvs-profile/1`; `lints`
-/// names every pass that ran with its configured level, so a consumer
-/// can distinguish "clean" from "not checked".
+/// (`dvs-lint/1`, `dvs-verify/1`, `dvs-diff/1`), mirroring
+/// `dvs-profile/1`; `lints` names every pass that ran with its
+/// configured level, so a consumer can distinguish "clean" from "not
+/// checked".
 pub fn render_json_envelope(schema: &str, lints: &[LintMeta], reports: &[Report]) -> String {
     let mut out = format!("{{\"schema\":\"{}\",\"lints\":[", json_escape(schema));
     for (i, lint) in lints.iter().enumerate() {

@@ -26,10 +26,39 @@
 
 use std::process::ExitCode;
 
-use dvs_analysis::{has_deny, render_json, render_text, Report};
+use dvs_analysis::{has_deny, LintMeta, Report};
+use dvs_bench::cli::{self, Args, Stop};
 use dvs_diff::{metamorphic, oracles};
 use dvs_sram::FaultModel;
 use dvs_workloads::Benchmark;
+
+/// Versioned schema tag of the `--json` envelope.
+const DIFF_SCHEMA: &str = "dvs-diff/1";
+
+/// Every `diff/*` lint the sweep runs, for the envelope's lint table.
+/// Only a failed clean-map precondition is a warning.
+const LINTS: [LintMeta; 10] = [
+    deny(oracles::LINT_CLEAN_MAP),
+    LintMeta {
+        name: oracles::LINT_HYPOTHESIS,
+        level: "warn",
+    },
+    deny(oracles::LINT_SA_DM),
+    deny(oracles::LINT_HALVING),
+    deny(oracles::LINT_PERSISTENCE),
+    deny(oracles::LINT_PACKED),
+    deny(metamorphic::LINT_VOLTAGE),
+    deny(metamorphic::LINT_NESTED),
+    deny(metamorphic::LINT_WINDOW),
+    deny(metamorphic::LINT_FAULT_ADD),
+];
+
+const fn deny(name: &'static str) -> LintMeta {
+    LintMeta {
+        name,
+        level: "deny",
+    }
+}
 
 struct Options {
     voltages: Vec<u32>,
@@ -42,26 +71,9 @@ struct Options {
     inject_divergence: bool,
 }
 
-impl Default for Options {
-    fn default() -> Self {
-        Options {
-            voltages: vec![760, 600, 480, 400],
-            benchmarks: Benchmark::ALL.to_vec(),
-            models: FaultModel::ALL.to_vec(),
-            seed: 0,
-            stream_len: 2_000,
-            // One byte evicts after every save: maximal eviction churn
-            // for the persistence-identity family.
-            store_max_bytes: 1,
-            json: false,
-            inject_divergence: false,
-        }
-    }
-}
-
 const USAGE: &str = "usage: dvs-diff [options]
-  --voltages LIST   comma-separated mV points for the monotonicity sweep
-                    (default 760,600,480,400)
+  --voltages LIST   comma-separated mV points for the monotonicity sweep,
+                    300-1000 (default 760,600,480,400)
   --benchmarks LIST comma-separated benchmark names (default: all ten)
   --models LIST     comma-separated fault models for the model-dependent
                     families (iid, rowcol, clustered; default: all three)
@@ -70,83 +82,38 @@ const USAGE: &str = "usage: dvs-diff [options]
   --store-max-bytes N
                     store size cap for the capped persistence variants
                     (default 1: evict after every save)
-  --json            emit one JSON document instead of text
+  --json            emit one dvs-diff/1 JSON document instead of text
   --inject-divergence
                     plant a fault under word-disable and diff it against
                     the clean run (self-test: the harness must flag it,
                     shrink it, and exit 1)
   --help            print this help";
 
-fn parse_benchmark(name: &str) -> Option<Benchmark> {
-    Benchmark::ALL.into_iter().find(|b| {
-        let full = b.name();
-        full.eq_ignore_ascii_case(name)
-            || full
-                .rsplit('.')
-                .next()
-                .is_some_and(|short| short.eq_ignore_ascii_case(name))
-    })
-}
-
-fn parse_args(args: &[String]) -> Result<Options, String> {
-    let mut opts = Options::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} expects a value"))
-        };
-        match arg.as_str() {
-            "--voltages" => {
-                opts.voltages = value("--voltages")?
-                    .split(',')
-                    .map(|v| v.trim().parse::<u32>().map_err(|_| format!("bad mV: {v}")))
-                    .collect::<Result<_, _>>()?;
-            }
-            "--benchmarks" => {
-                opts.benchmarks = value("--benchmarks")?
-                    .split(',')
-                    .map(|n| {
-                        parse_benchmark(n.trim()).ok_or_else(|| format!("unknown benchmark: {n}"))
-                    })
-                    .collect::<Result<_, _>>()?;
-            }
-            "--models" => {
-                opts.models = value("--models")?
-                    .split(',')
-                    .map(|n| {
-                        FaultModel::parse(n.trim()).ok_or_else(|| format!("unknown model: {n}"))
-                    })
-                    .collect::<Result<_, _>>()?;
-            }
-            "--seed" => {
-                opts.seed = value("--seed")?
-                    .parse()
-                    .map_err(|_| "--seed expects an integer".to_string())?;
-            }
-            "--stream-len" => {
-                opts.stream_len = value("--stream-len")?
-                    .parse()
-                    .map_err(|_| "--stream-len expects an integer".to_string())?;
-            }
-            "--store-max-bytes" => {
-                opts.store_max_bytes = value("--store-max-bytes")?
-                    .parse()
-                    .map_err(|_| "--store-max-bytes expects an integer".to_string())?;
-            }
+fn parse_args(mut args: Args) -> Result<Options, Stop> {
+    let mut opts = Options {
+        voltages: vec![760, 600, 480, 400],
+        benchmarks: Benchmark::ALL.to_vec(),
+        models: FaultModel::ALL.to_vec(),
+        seed: 0,
+        stream_len: 2_000,
+        // One byte evicts after every save: maximal eviction churn for
+        // the persistence-identity family.
+        store_max_bytes: 1,
+        json: false,
+        inject_divergence: false,
+    };
+    while let Some(flag) = args.next_flag()? {
+        match flag.as_str() {
+            "--voltages" => opts.voltages = args.value(&flag, cli::voltages)?,
+            "--benchmarks" => opts.benchmarks = args.value(&flag, cli::benchmarks)?,
+            "--models" => opts.models = args.value(&flag, cli::models)?,
+            "--seed" => opts.seed = args.int(&flag)?,
+            "--stream-len" => opts.stream_len = args.count(&flag)?,
+            "--store-max-bytes" => opts.store_max_bytes = args.int(&flag)?,
             "--json" => opts.json = true,
             "--inject-divergence" => opts.inject_divergence = true,
-            "--help" | "-h" => return Err(String::new()),
-            other => return Err(format!("unknown flag {other}")),
+            other => return Err(cli::unknown(other)),
         }
-    }
-    if opts.voltages.is_empty()
-        || opts.benchmarks.is_empty()
-        || opts.models.is_empty()
-        || opts.stream_len == 0
-    {
-        return Err("nothing to do: empty voltage, benchmark, model or stream".to_string());
     }
     Ok(opts)
 }
@@ -236,28 +203,13 @@ fn run(opts: &Options) -> Vec<Report> {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = match parse_args(&args) {
-        Ok(opts) => opts,
-        Err(msg) => {
-            if msg.is_empty() {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            eprintln!("dvs-diff: {msg}\n{USAGE}");
-            return ExitCode::from(2);
+    cli::main("dvs-diff", USAGE, parse_args, |opts| {
+        let reports = run(&opts);
+        cli::print_reports(opts.json, DIFF_SCHEMA, &LINTS, &reports);
+        if reports.iter().any(|r| has_deny(&r.diagnostics)) {
+            ExitCode::from(1)
+        } else {
+            ExitCode::SUCCESS
         }
-    };
-    let reports = run(&opts);
-    if opts.json {
-        println!("{}", render_json(&reports));
-    } else {
-        print!("{}", render_text(&reports));
-    }
-    let denied = reports.iter().any(|r| has_deny(&r.diagnostics));
-    if denied {
-        ExitCode::from(1)
-    } else {
-        ExitCode::SUCCESS
-    }
+    })
 }

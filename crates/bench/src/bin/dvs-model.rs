@@ -26,12 +26,11 @@
 use std::process::ExitCode;
 
 use dvs_analysis::{has_deny, render_text, Diagnostic, Location, Report};
+use dvs_bench::cli::{self, chain_rungs, Args, Stop};
 use dvs_diff::stream::{replays, synthetic_stream, word_misses, Access};
 use dvs_linker::fault_free_chunks;
 use dvs_schemes::SchemeKind;
-use dvs_sram::{
-    ladder_mv, CacheGeometry, FaultChain, FaultMap, FaultModel, MilliVolts, PfailModel,
-};
+use dvs_sram::{CacheGeometry, FaultChain, FaultMap, FaultModel, MilliVolts, PfailModel};
 use dvs_workloads::Benchmark;
 
 /// Versioned schema tag of the `--json` envelope.
@@ -88,7 +87,8 @@ impl Default for Options {
 }
 
 const USAGE: &str = "usage: dvs-model [options]
-  --voltages LIST   comma-separated mV points (default 760,600,520,480,440,400)
+  --voltages LIST   comma-separated mV points, 300-1000
+                    (default 760,600,520,480,440,400)
   --benchmarks LIST comma-separated benchmark names (default: all ten)
   --models LIST     comma-separated fault models: iid, rowcol, clustered
                     (default: all three)
@@ -98,94 +98,21 @@ const USAGE: &str = "usage: dvs-model [options]
   --json            emit one dvs-model/1 JSON document instead of text
   --help            print this help";
 
-fn parse_benchmark(name: &str) -> Option<Benchmark> {
-    Benchmark::ALL.into_iter().find(|b| {
-        let full = b.name();
-        full.eq_ignore_ascii_case(name)
-            || full
-                .rsplit('.')
-                .next()
-                .is_some_and(|short| short.eq_ignore_ascii_case(name))
-    })
-}
-
-fn parse_args(args: &[String]) -> Result<Options, String> {
+fn parse_args(mut args: Args) -> Result<Options, Stop> {
     let mut opts = Options::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} expects a value"))
-        };
-        match arg.as_str() {
-            "--voltages" => {
-                opts.voltages = value("--voltages")?
-                    .split(',')
-                    .map(|v| v.trim().parse::<u32>().map_err(|_| format!("bad mV: {v}")))
-                    .collect::<Result<_, _>>()?;
-            }
-            "--benchmarks" => {
-                opts.benchmarks = value("--benchmarks")?
-                    .split(',')
-                    .map(|n| {
-                        parse_benchmark(n.trim()).ok_or_else(|| format!("unknown benchmark: {n}"))
-                    })
-                    .collect::<Result<_, _>>()?;
-            }
-            "--models" => {
-                opts.models = value("--models")?
-                    .split(',')
-                    .map(|n| {
-                        FaultModel::parse(n.trim()).ok_or_else(|| format!("unknown model: {n}"))
-                    })
-                    .collect::<Result<_, _>>()?;
-            }
-            "--maps" => {
-                opts.maps = value("--maps")?
-                    .parse()
-                    .map_err(|_| "--maps expects an integer".to_string())?;
-            }
-            "--seed" => {
-                opts.seed = value("--seed")?
-                    .parse()
-                    .map_err(|_| "--seed expects an integer".to_string())?;
-            }
-            "--stream-len" => {
-                opts.stream_len = value("--stream-len")?
-                    .parse()
-                    .map_err(|_| "--stream-len expects an integer".to_string())?;
-            }
+    while let Some(flag) = args.next_flag()? {
+        match flag.as_str() {
+            "--voltages" => opts.voltages = args.value(&flag, cli::voltages)?,
+            "--benchmarks" => opts.benchmarks = args.value(&flag, cli::benchmarks)?,
+            "--models" => opts.models = args.value(&flag, cli::models)?,
+            "--maps" => opts.maps = args.count(&flag)?,
+            "--seed" => opts.seed = args.int(&flag)?,
+            "--stream-len" => opts.stream_len = args.count(&flag)?,
             "--json" => opts.json = true,
-            "--help" | "-h" => return Err(String::new()),
-            other => return Err(format!("unknown flag {other}")),
+            other => return Err(cli::unknown(other)),
         }
-    }
-    if opts.voltages.is_empty()
-        || opts.benchmarks.is_empty()
-        || opts.models.is_empty()
-        || opts.maps == 0
-        || opts.stream_len == 0
-    {
-        return Err("nothing to do: empty voltage, benchmark, model, map or stream".to_string());
     }
     Ok(opts)
-}
-
-/// The rungs a chain advances through: the canonical 20 mV ladder down
-/// to the deepest requested point, merged with any off-grid requested
-/// voltages, descending (same contract as `dvs-verify`).
-fn chain_rungs(voltages: &[u32]) -> Vec<u32> {
-    let lowest = voltages.iter().copied().min().expect("non-empty voltages");
-    let mut rungs = ladder_mv(lowest);
-    for &v in voltages {
-        if !rungs.contains(&v) {
-            rungs.push(v);
-        }
-    }
-    rungs.sort_unstable_by(|a, b| b.cmp(a));
-    rungs.dedup();
-    rungs
 }
 
 /// Mean over frames of the longest fault-free run of words in the frame
@@ -497,54 +424,38 @@ fn render_tables(opts: &Options, series: &[ModelSeries]) -> String {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = match parse_args(&args) {
-        Ok(opts) => opts,
-        Err(msg) => {
-            if msg.is_empty() {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
+    cli::main("dvs-model", USAGE, parse_args, |opts| {
+        let (series, checks) = run(&opts);
+        if opts.json {
+            println!("{}", render_json(&opts, &series, &checks));
+        } else {
+            print!("{}", render_tables(&opts, &series));
+            if !checks.is_empty() {
+                let report = Report::new("model@invariants".to_string(), checks.clone());
+                print!("{}", render_text(&[report]));
             }
-            eprintln!("dvs-model: {msg}\n{USAGE}");
-            return ExitCode::from(2);
         }
-    };
-    let (series, checks) = run(&opts);
-    if opts.json {
-        println!("{}", render_json(&opts, &series, &checks));
-    } else {
-        print!("{}", render_tables(&opts, &series));
-        if !checks.is_empty() {
-            let report = Report::new("model@invariants".to_string(), checks.clone());
-            print!("{}", render_text(&[report]));
+        if has_deny(&checks) {
+            ExitCode::from(1)
+        } else {
+            ExitCode::SUCCESS
         }
-    }
-    if has_deny(&checks) {
-        ExitCode::from(1)
-    } else {
-        ExitCode::SUCCESS
-    }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn chain_rungs_merge_off_grid_points_descending() {
-        let rungs = chain_rungs(&[760, 485, 400]);
-        assert_eq!(rungs.first(), Some(&760));
-        assert_eq!(rungs.last(), Some(&400));
-        assert!(rungs.contains(&485));
-        assert!(rungs.windows(2).all(|w| w[0] > w[1]));
+    fn parse(args: &str) -> Result<Options, Stop> {
+        parse_args(Args::new(args.split_whitespace().map(String::from)))
     }
 
     #[test]
     fn parse_rejects_unknown_model_and_empty_lists() {
-        let bad = parse_args(&["--models".into(), "gaussian".into()]);
-        assert!(bad.is_err());
-        let empty = parse_args(&["--maps".into(), "0".into()]);
-        assert!(empty.is_err());
+        assert!(parse("--models gaussian").is_err());
+        assert!(parse("--maps 0").is_err());
+        assert!(parse("--stream-len 0").is_err());
     }
 
     #[test]

@@ -10,13 +10,14 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use dvs_bench::baseline::{Baseline, DEFAULT_BASELINE_PATH, DEFAULT_TOLERANCE};
+use dvs_bench::cli::{self, Args, Stop};
 use dvs_bench::profile::{run_profile, ProfileOptions};
 use dvs_sram::MilliVolts;
-use dvs_workloads::Benchmark;
 
 const USAGE: &str = "usage: dvs-profile [options]
   --benchmarks LIST  comma-separated benchmark names (default: all ten)
-  --voltages LIST    comma-separated operating points in mV (default: 760,560,520,480,440,400)
+  --voltages LIST    comma-separated operating points in mV, 300-1000
+                     (default: 760,560,520,480,440,400)
   --maps N           fault maps per cell
   --trace-instrs N   dynamic instructions per trial
   --seed N           root seed
@@ -25,19 +26,14 @@ const USAGE: &str = "usage: dvs-profile [options]
   --no-timings       omit volatile wall-clock sections from the JSON
   --selfcheck        validate the JSON rendering before printing
   --bless-baseline   write the sweep's trials/sec to the baseline file
-  --check-baseline   compare against the baseline file; exit non-zero on
-                     a >10% throughput regression (best of three sweeps)
+  --check-baseline   compare against the baseline file; exit 1 on a
+                     >10% throughput regression (best of three sweeps)
                      or a config mismatch
   --baseline-path P  baseline file location (default BENCH_baseline.json)
-  -h, --help         this text";
+  -h, --help         this text
 
-fn parse_benchmark(name: &str) -> Option<Benchmark> {
-    Benchmark::ALL.into_iter().find(|b| {
-        let full = b.name();
-        // Accept both "401.bzip2" and the bare "bzip2".
-        full == name || full.split_once('.').is_some_and(|(_, bare)| bare == name)
-    })
-}
+Exit codes: 0 success, 1 self-check, baseline or write failure, 2 usage
+error.";
 
 /// Profile options plus the binary-only baseline flags.
 struct CliOptions {
@@ -47,73 +43,36 @@ struct CliOptions {
     baseline_path: PathBuf,
 }
 
-fn parse(mut args: impl Iterator<Item = String>) -> Result<CliOptions, String> {
+fn parse(mut args: Args) -> Result<CliOptions, Stop> {
     let mut opts = ProfileOptions::default();
     let mut bless_baseline = false;
     let mut check_baseline = false;
     let mut baseline_path = PathBuf::from(DEFAULT_BASELINE_PATH);
-    while let Some(arg) = args.next() {
-        let mut value = |flag: &str| args.next().ok_or_else(|| format!("{flag} expects a value"));
-        match arg.as_str() {
-            "--benchmarks" => {
-                opts.benchmarks = value("--benchmarks")?
-                    .split(',')
-                    .map(|n| parse_benchmark(n).ok_or_else(|| format!("unknown benchmark {n}")))
-                    .collect::<Result<_, _>>()?;
-            }
+    while let Some(flag) = args.next_flag()? {
+        match flag.as_str() {
+            "--benchmarks" => opts.benchmarks = args.value(&flag, cli::benchmarks)?,
             "--voltages" => {
-                opts.voltages = value("--voltages")?
-                    .split(',')
-                    .map(|v| {
-                        v.parse::<u32>()
-                            .map(MilliVolts::new)
-                            .map_err(|_| format!("bad voltage {v}"))
-                    })
-                    .collect::<Result<_, _>>()?;
+                let mv = args.value(&flag, cli::voltages)?;
+                opts.voltages = mv.into_iter().map(MilliVolts::new).collect();
             }
-            "--maps" => {
-                opts.cfg.maps = value("--maps")?
-                    .parse()
-                    .map_err(|_| "--maps expects an integer".to_string())?;
-            }
-            "--trace-instrs" => {
-                opts.cfg.trace_instrs = value("--trace-instrs")?
-                    .parse()
-                    .map_err(|_| "--trace-instrs expects an integer".to_string())?;
-            }
-            "--seed" => {
-                opts.cfg.seed = value("--seed")?
-                    .parse()
-                    .map_err(|_| "--seed expects an integer".to_string())?;
-            }
-            "--threads" => {
-                opts.cfg.threads = value("--threads")?
-                    .parse()
-                    .map_err(|_| "--threads expects an integer".to_string())?;
-            }
+            // Zero maps is accepted here: it profiles set-up alone.
+            "--maps" => opts.cfg.maps = args.int(&flag)?,
+            "--trace-instrs" => opts.cfg.trace_instrs = args.int(&flag)?,
+            "--seed" => opts.cfg.seed = args.int(&flag)?,
+            "--threads" => opts.cfg.threads = args.int(&flag)?,
             "--json" => opts.json = true,
             "--no-timings" => opts.include_timings = false,
             "--selfcheck" => opts.selfcheck = true,
             "--bless-baseline" => bless_baseline = true,
             "--check-baseline" => check_baseline = true,
-            "--baseline-path" => {
-                baseline_path = PathBuf::from(value("--baseline-path")?);
-            }
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown flag {other}; try --help")),
+            "--baseline-path" => baseline_path = args.value(&flag, |p| Ok(PathBuf::from(p)))?,
+            other => return Err(cli::unknown(other)),
         }
     }
-    if opts.benchmarks.is_empty() {
-        return Err("no benchmarks selected".into());
-    }
-    if opts.voltages.is_empty() {
-        return Err("no voltages selected".into());
-    }
     if bless_baseline && check_baseline {
-        return Err("--bless-baseline and --check-baseline are mutually exclusive".into());
+        return Err(Stop::Usage(
+            "--bless-baseline and --check-baseline are mutually exclusive".into(),
+        ));
     }
     Ok(CliOptions {
         profile: opts,
@@ -124,13 +83,10 @@ fn parse(mut args: impl Iterator<Item = String>) -> Result<CliOptions, String> {
 }
 
 fn main() -> ExitCode {
-    let cli = match parse(std::env::args().skip(1)) {
-        Ok(cli) => cli,
-        Err(e) => {
-            eprintln!("error: {e}\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
+    cli::main("dvs-profile", USAGE, parse, |cli| run(&cli))
+}
+
+fn run(cli: &CliOptions) -> ExitCode {
     let opts = &cli.profile;
     eprintln!(
         "profiling {} benchmarks x {} voltages x {} maps ({} instrs/trial)...",
@@ -202,8 +158,8 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    fn argv(s: &str) -> impl Iterator<Item = String> + '_ {
-        s.split_whitespace().map(String::from)
+    fn argv(s: &str) -> Args {
+        Args::new(s.split_whitespace().map(String::from))
     }
 
     #[test]
@@ -215,7 +171,13 @@ mod tests {
         ))
         .unwrap();
         let opts = &cli.profile;
-        assert_eq!(opts.benchmarks, vec![Benchmark::Crc32, Benchmark::Bzip2]);
+        assert_eq!(
+            opts.benchmarks,
+            vec![
+                dvs_workloads::Benchmark::Crc32,
+                dvs_workloads::Benchmark::Bzip2
+            ]
+        );
         assert_eq!(
             opts.voltages,
             vec![MilliVolts::new(760), MilliVolts::new(400)]
@@ -234,8 +196,15 @@ mod tests {
         assert!(parse(argv("--bogus")).is_err());
         assert!(parse(argv("--benchmarks nosuch")).is_err());
         assert!(parse(argv("--voltages abc")).is_err());
+        assert!(parse(argv("--voltages 0")).is_err());
         assert!(parse(argv("--maps")).is_err());
         assert!(parse(argv("--bless-baseline --check-baseline")).is_err());
+    }
+
+    #[test]
+    fn help_stops_parsing_and_names_match_in_any_case() {
+        assert_eq!(parse(argv("--maps 2 --help")).err(), Some(Stop::Help));
+        assert!(parse(argv("--benchmarks CRC32")).is_ok());
     }
 
     #[test]

@@ -21,13 +21,12 @@
 
 use std::process::ExitCode;
 
-use dvs_analysis::{
-    render_json_envelope, render_text, AnalysisInput, LintMeta, LintRegistry, Report, Severity,
-};
+use dvs_analysis::{AnalysisInput, LintMeta, LintRegistry, Report, Severity};
+use dvs_bench::cli::{self, chain_rungs, Args, Stop};
 use dvs_diff::bounded_suite;
 use dvs_linker::{adaptive_max_block_words, bbr_transform, BbrLinker, Diagnostic, Location};
-use dvs_sram::{ladder_mv, CacheGeometry, FaultChain, FaultModel, MilliVolts, PfailModel};
-use dvs_workloads::{Benchmark, Layout};
+use dvs_sram::{CacheGeometry, FaultChain, FaultModel, MilliVolts, PfailModel};
+use dvs_workloads::Benchmark;
 
 /// Versioned schema tag of the `--json` envelope.
 const VERIFY_SCHEMA: &str = "dvs-verify/1";
@@ -43,23 +42,9 @@ struct Options {
     bounded_depth: usize,
 }
 
-impl Default for Options {
-    fn default() -> Self {
-        Options {
-            voltages: vec![760, 600, 480, 400],
-            benchmarks: Benchmark::ALL.to_vec(),
-            maps: 2,
-            seed: 0,
-            model: FaultModel::Iid,
-            json: false,
-            inject_misplacement: false,
-            bounded_depth: 4,
-        }
-    }
-}
-
 const USAGE: &str = "usage: dvs-verify [options]
-  --voltages LIST   comma-separated mV points (default 760,600,480,400)
+  --voltages LIST   comma-separated mV points, 300-1000
+                    (default 760,600,480,400)
   --benchmarks LIST comma-separated benchmark names (default: all ten)
   --maps N          fault chains grown per benchmark (default 2)
   --seed N          base RNG seed for the fault chains (default 0)
@@ -73,104 +58,31 @@ const USAGE: &str = "usage: dvs-verify [options]
                     code must be 2)
   --help            print this help";
 
-fn parse_benchmark(name: &str) -> Option<Benchmark> {
-    Benchmark::ALL.into_iter().find(|b| {
-        let full = b.name();
-        full.eq_ignore_ascii_case(name)
-            || full
-                .rsplit('.')
-                .next()
-                .is_some_and(|short| short.eq_ignore_ascii_case(name))
-    })
-}
-
-fn parse_args(args: &[String]) -> Result<Options, String> {
-    let mut opts = Options::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} expects a value"))
-        };
-        match arg.as_str() {
-            "--voltages" => {
-                opts.voltages = value("--voltages")?
-                    .split(',')
-                    .map(|v| v.trim().parse::<u32>().map_err(|_| format!("bad mV: {v}")))
-                    .collect::<Result<_, _>>()?;
-            }
-            "--benchmarks" => {
-                opts.benchmarks = value("--benchmarks")?
-                    .split(',')
-                    .map(|n| {
-                        parse_benchmark(n.trim()).ok_or_else(|| format!("unknown benchmark: {n}"))
-                    })
-                    .collect::<Result<_, _>>()?;
-            }
-            "--maps" => {
-                opts.maps = value("--maps")?
-                    .parse()
-                    .map_err(|_| "--maps expects an integer".to_string())?;
-            }
-            "--seed" => {
-                opts.seed = value("--seed")?
-                    .parse()
-                    .map_err(|_| "--seed expects an integer".to_string())?;
-            }
-            "--model" => {
-                let name = value("--model")?;
-                opts.model = FaultModel::parse(name.trim())
-                    .ok_or_else(|| format!("unknown model: {name}"))?;
-            }
-            "--bounded-depth" => {
-                opts.bounded_depth = value("--bounded-depth")?
-                    .parse()
-                    .map_err(|_| "--bounded-depth expects an integer".to_string())?;
-            }
+fn parse_args(mut args: Args) -> Result<Options, Stop> {
+    let mut opts = Options {
+        voltages: vec![760, 600, 480, 400],
+        benchmarks: Benchmark::ALL.to_vec(),
+        maps: 2,
+        seed: 0,
+        model: FaultModel::Iid,
+        json: false,
+        inject_misplacement: false,
+        bounded_depth: 4,
+    };
+    while let Some(flag) = args.next_flag()? {
+        match flag.as_str() {
+            "--voltages" => opts.voltages = args.value(&flag, cli::voltages)?,
+            "--benchmarks" => opts.benchmarks = args.value(&flag, cli::benchmarks)?,
+            "--maps" => opts.maps = args.count(&flag)?,
+            "--seed" => opts.seed = args.int(&flag)?,
+            "--model" => opts.model = args.value(&flag, cli::model)?,
+            "--bounded-depth" => opts.bounded_depth = args.int(&flag)?,
             "--json" => opts.json = true,
             "--inject-misplacement" => opts.inject_misplacement = true,
-            "--help" | "-h" => return Err(String::new()),
-            other => return Err(format!("unknown flag {other}")),
+            other => return Err(cli::unknown(other)),
         }
-    }
-    if opts.voltages.is_empty() || opts.benchmarks.is_empty() || opts.maps == 0 {
-        return Err("nothing to do: empty voltage, benchmark or map list".to_string());
     }
     Ok(opts)
-}
-
-/// Moves block 0 onto the first defective cache word (or one word past
-/// the image end on a fault-free map), so the fault-reachability proof
-/// has a real violation to find.
-fn corrupt_layout(layout: &Layout, fmap: &dvs_sram::FaultMap, functions: usize) -> Layout {
-    let mut starts: Vec<u64> = (0..layout.num_blocks())
-        .map(|id| layout.block_start(id))
-        .collect();
-    let target = fmap
-        .iter_faulty_linear()
-        .next()
-        .map_or(layout.end() / 4 + 1, u64::from);
-    starts[0] = target * 4;
-    let end = layout.end().max(starts[0] + 4);
-    Layout::from_parts(starts, vec![0; functions], end)
-}
-
-/// The rungs one chain advances through: the canonical 20 mV ladder down
-/// to the deepest requested point, merged with any off-grid requested
-/// voltages, descending. Every rung advances the chain; only requested
-/// rungs are verified.
-fn chain_rungs(voltages: &[u32]) -> Vec<u32> {
-    let lowest = voltages.iter().copied().min().expect("non-empty voltages");
-    let mut rungs = ladder_mv(lowest);
-    for &v in voltages {
-        if !rungs.contains(&v) {
-            rungs.push(v);
-        }
-    }
-    rungs.sort_unstable_by(|a, b| b.cmp(a));
-    rungs.dedup();
-    rungs
 }
 
 fn run(opts: &Options) -> Vec<Report> {
@@ -197,7 +109,7 @@ fn run(opts: &Options) -> Vec<Report> {
                     Ok(image) => {
                         let (program, layout) = image.into_parts();
                         let layout = if opts.inject_misplacement {
-                            corrupt_layout(&layout, fmap, program.functions().len())
+                            cli::corrupt_layout(&layout, fmap, program.functions().len())
                         } else {
                             layout
                         };
@@ -228,14 +140,7 @@ fn run(opts: &Options) -> Vec<Report> {
 }
 
 fn lint_metas(opts: &Options) -> Vec<LintMeta> {
-    let mut metas: Vec<LintMeta> = LintRegistry::verification()
-        .lints()
-        .iter()
-        .map(|l| LintMeta {
-            name: l.id(),
-            level: l.severity().name(),
-        })
-        .collect();
+    let mut metas = cli::lint_metas(&LintRegistry::verification());
     if opts.bounded_depth > 0 {
         metas.push(LintMeta {
             name: dvs_linker::lint_ids::VERIFY_BOUNDED_MODEL,
@@ -246,34 +151,15 @@ fn lint_metas(opts: &Options) -> Vec<LintMeta> {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = match parse_args(&args) {
-        Ok(opts) => opts,
-        Err(msg) => {
-            if msg.is_empty() {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            eprintln!("dvs-verify: {msg}\n{USAGE}");
-            return ExitCode::from(2);
+    cli::main("dvs-verify", USAGE, parse_args, |opts| {
+        let reports = run(&opts);
+        cli::print_reports(opts.json, VERIFY_SCHEMA, &lint_metas(&opts), &reports);
+        if reports.iter().any(|r| r.deny_count() > 0) {
+            ExitCode::from(2)
+        } else if reports.iter().any(|r| r.warn_count() > 0) {
+            ExitCode::from(1)
+        } else {
+            ExitCode::SUCCESS
         }
-    };
-    let reports = run(&opts);
-    if opts.json {
-        println!(
-            "{}",
-            render_json_envelope(VERIFY_SCHEMA, &lint_metas(&opts), &reports)
-        );
-    } else {
-        print!("{}", render_text(&reports));
-    }
-    let denied = reports.iter().any(|r| r.deny_count() > 0);
-    let warned = reports.iter().any(|r| r.warn_count() > 0);
-    if denied {
-        ExitCode::from(2)
-    } else if warned {
-        ExitCode::from(1)
-    } else {
-        ExitCode::SUCCESS
-    }
+    })
 }

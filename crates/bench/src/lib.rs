@@ -20,6 +20,7 @@ use std::path::PathBuf;
 use dvs_core::{EvalConfig, Evaluator, ResultStore};
 
 pub mod baseline;
+pub mod cli;
 pub mod profile;
 
 /// Parsed command-line options for the figure binaries.

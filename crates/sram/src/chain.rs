@@ -360,6 +360,31 @@ mod tests {
     const IID_GOLDEN_COUNT: usize = 763;
     const IID_GOLDEN_FIRST8: &[u32] = &[1, 5, 19, 26, 74, 77, 85, 101];
 
+    /// An i.i.d. chain starting at a rung where `1 - p` rounds to 1.0
+    /// (dsn45 above ~1180 mV) must stay clean there and keep nesting
+    /// down to the ordinary rungs.
+    #[test]
+    fn iid_chain_stays_clean_at_tiny_failure_rates() {
+        let model = PfailModel::dsn45();
+        let p_high = model.pfail_word(MilliVolts::new(1200));
+        assert!(
+            1.0 - p_high == 1.0,
+            "1200 mV must exercise the rounding edge"
+        );
+        for seed in 0..8 {
+            let mut chain = FaultChain::new(&geom(), seed);
+            assert!(chain.advance_to(1e-17).is_empty(), "seed {seed}");
+            assert!(
+                chain.advance_to(p_high.max(1e-17)).is_empty(),
+                "seed {seed}"
+            );
+            assert_eq!(chain.map().faulty_words(), 0);
+            // ~0.001 faulty words expected per map at 760 mV.
+            chain.advance_to(model.pfail_word(MilliVolts::new(760)));
+            assert!(chain.map().faulty_words() <= 2, "seed {seed}");
+        }
+    }
+
     /// Correlated chains are path-independent: stepping through
     /// intermediate rungs or jumping straight to the bottom yields the
     /// same map (the uniforms and threshold depend only on the seed and

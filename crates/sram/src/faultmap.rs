@@ -84,8 +84,15 @@ pub(crate) fn skip_sample<R: Rng + ?Sized>(
         return;
     }
     // Gap to the next hit ~ Geometric(p): floor(ln(1-U) / ln(1-p)).
-    // U ∈ [0, 1) so 1-U ∈ (0, 1] and the logarithm is finite.
-    let ln_q = (1.0 - p).ln();
+    // U ∈ [0, 1) so 1-U ∈ (0, 1] and the logarithm is finite. Below
+    // p ≈ 5.6e-17 the subtraction `1 - p` rounds to 1.0 and its log to
+    // 0.0, which would make every gap -inf (cast to 0: every word
+    // faulty); only there does ln_1p take over, so maps drawn at any
+    // larger p keep their exact bits.
+    let mut ln_q = (1.0 - p).ln();
+    if ln_q == 0.0 {
+        ln_q = (-p).ln_1p();
+    }
     let mut pos = 0usize;
     loop {
         let u: f64 = rng.gen();
@@ -422,6 +429,17 @@ mod tests {
         assert_eq!(hist.min, recorded.faulty_words() as u64);
         assert_eq!(snap.timers["sram.faultmap.sample_nanos"].count, 1);
         assert_eq!(snap.timers["sram.faultmap.skip_sample_nanos"].count, 1);
+    }
+
+    /// Below p ≈ 5.6e-17, `1 - p` rounds to 1.0; the sampler used to
+    /// take ln(1.0) = 0 as its rate and mark every word faulty.
+    #[test]
+    fn tiny_failure_rates_sample_clean_maps() {
+        let g = geom();
+        for seed in 0..8 {
+            let map = FaultMap::sample(&g, 1e-17, &mut StdRng::seed_from_u64(seed));
+            assert_eq!(map.faulty_words(), 0, "seed {seed}");
+        }
     }
 
     /// The skip sampler and the per-word reference sampler must be

@@ -62,7 +62,7 @@ pub use faultmap::{FaultMap, FrameId};
 pub use geometry::{CacheGeometry, GeometryError};
 pub use model::FaultModel;
 pub use pfail::{BuildPfailModelError, PfailModel, YieldReport};
-pub use voltage::MilliVolts;
+pub use voltage::{MilliVolts, MAX_VCC_MV, MIN_VCC_MV};
 
 /// Number of bits in the machine word the paper's caches are addressed at.
 ///

@@ -4,6 +4,12 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
+/// Lowest plausible supply voltage a campaign or sweep may request.
+pub const MIN_VCC_MV: u32 = 300;
+
+/// Highest plausible supply voltage a campaign or sweep may request.
+pub const MAX_VCC_MV: u32 = 1000;
+
 /// A supply voltage expressed in millivolts.
 ///
 /// All public interfaces in this workspace exchange voltages through this
