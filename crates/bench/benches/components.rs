@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, RngCore, SeedableRng};
 
 use dvs_cpu::{simulate, CoreConfig, MemSystem};
 use dvs_linker::{adaptive_max_block_words, bbr_transform, BbrLinker};
@@ -133,6 +133,34 @@ fn bench_cpu(c: &mut Criterion) {
     g.bench_function("locality_measure_50k", |b| {
         b.iter(|| locality::measure(wl.trace(&layout, 0).take(n), 10_000));
     });
+    // Figure scale (`EvalConfig::standard()`): past the template cap, so
+    // every trial walks the CFG this far.
+    let n_fig = 200_000usize;
+    g.throughput(Throughput::Elements(n_fig as u64));
+    g.bench_function("trace_generation_200k", |b| {
+        b.iter(|| wl.trace(&layout, 0).take(n_fig).count());
+    });
+    g.finish();
+}
+
+/// The two RNG calls every walker op makes several of: raw keystream
+/// words and narrow `gen_range` draws (operand picks span 1–3 values).
+fn bench_rand(c: &mut Criterion) {
+    let mut g = c.benchmark_group("rand");
+    let n = 1024u32;
+    g.throughput(Throughput::Elements(u64::from(n)));
+    g.bench_function("chacha12_next_u32", |b| {
+        let mut rng = StdRng::seed_from_u64(7);
+        b.iter(|| (0..n).fold(0u32, |acc, _| acc ^ rng.next_u32()));
+    });
+    g.bench_function("gen_range_small", |b| {
+        let mut rng = StdRng::seed_from_u64(8);
+        b.iter(|| {
+            (0..n).fold(0usize, |acc, i| {
+                acc ^ rng.gen_range(0..1 + (i as usize & 3))
+            })
+        });
+    });
     g.finish();
 }
 
@@ -142,6 +170,7 @@ criterion_group!(
     bench_ffw_remap,
     bench_cache,
     bench_linker,
-    bench_cpu
+    bench_cpu,
+    bench_rand
 );
 criterion_main!(benches);

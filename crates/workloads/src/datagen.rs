@@ -16,6 +16,7 @@
 //! recently touched word instead.
 
 use std::collections::VecDeque;
+use std::ops::Range;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -147,7 +148,7 @@ impl DataGen {
         &self.params
     }
 
-    fn word_slots_for_block(&mut self) -> Vec<u32> {
+    fn word_slots_for_block(&mut self) -> Range<u32> {
         // The used words of a block are a contiguous run with a random
         // start: struct fields cluster at the object head, stream buffers
         // are prefixes of a line. (`scattered` controls the *visit order*
@@ -156,13 +157,13 @@ impl DataGen {
         // low-spatial-locality footprint at all.)
         let k = self.params.words_per_block_used();
         let start = self.rng.gen_range(0..=WORDS_PER_BLOCK - k);
-        (start..start + k).collect()
+        start..start + k
     }
 
     /// Adds `n` new blocks to the working set and queues their usable
     /// word slots as fresh pairs.
     fn refill(&mut self, n: usize) {
-        let mut pairs = Vec::new();
+        let first = self.fresh.len();
         for _ in 0..n {
             // Cycle through the benchmark's bounded footprint.
             let block = self.next_block % self.params.footprint_blocks;
@@ -172,17 +173,17 @@ impl DataGen {
                 self.active_blocks.pop_front();
             }
             for w in self.word_slots_for_block() {
-                pairs.push((block, w));
+                self.fresh.push_back((block, w));
             }
         }
         if self.params.scattered {
-            // Interleave across blocks so spatial use builds up gradually.
-            for i in (1..pairs.len()).rev() {
+            // Interleave the new pairs across blocks so spatial use builds
+            // up gradually (a Fisher–Yates shuffle of the appended run).
+            for i in (1..self.fresh.len() - first).rev() {
                 let j = self.rng.gen_range(0..=i);
-                pairs.swap(i, j);
+                self.fresh.swap(first + i, first + j);
             }
         }
-        self.fresh.extend(pairs);
     }
 
     /// Produces the next `(block_number, word_offset)` pair.

@@ -81,6 +81,15 @@ const MAX_CALL_DEPTH: usize = 64;
 /// simulated core properly sensitive to load-to-use latency.
 const RECENT_DEST_CAP: usize = 3;
 
+/// The static properties of one body word: a pure function of the static
+/// seed, the block and the word position, computed once per walker.
+#[derive(Debug, Clone, Copy)]
+struct StaticWord {
+    class: OpClass,
+    /// Destination register (unused by stores).
+    dest: u8,
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
     /// Executing body instruction `pos`.
@@ -116,6 +125,11 @@ pub struct TraceWalker<'a> {
     phase: Phase,
     stack: Vec<BlockId>,
     recent_dests: VecDeque<u8>,
+    /// Index of each block's first body word in `statics`.
+    static_starts: Vec<u32>,
+    /// `(class, dest)` of every body word, filled a block at a time on the
+    /// block's first execution (`None` until then).
+    statics: Vec<Option<StaticWord>>,
     /// Literal loads already served in the current dynamic block instance.
     literal_served: u32,
     /// Layout-independent coordinates of the last emitted op.
@@ -146,6 +160,12 @@ impl<'a> TraceWalker<'a> {
             program.num_blocks(),
             "layout does not match program"
         );
+        let mut static_starts = Vec::with_capacity(program.num_blocks());
+        let mut body_words = 0u32;
+        for block in program.blocks() {
+            static_starts.push(body_words);
+            body_words += block.body_len;
+        }
         TraceWalker {
             program,
             layout,
@@ -158,6 +178,8 @@ impl<'a> TraceWalker<'a> {
             phase: Phase::Body,
             stack: Vec::new(),
             recent_dests: VecDeque::new(),
+            static_starts,
+            statics: vec![None; body_words as usize],
             literal_served: 0,
             meta: StepMeta::default(),
             done: false,
@@ -175,10 +197,10 @@ impl<'a> TraceWalker<'a> {
         self.program.num_blocks()
     }
 
-    fn static_hash(&self, pos: u32, salt: u64) -> u64 {
+    fn static_hash(&self, block: BlockId, pos: u32, salt: u64) -> u64 {
         let mut z = self
             .static_seed
-            .wrapping_add((self.block as u64) << 24)
+            .wrapping_add((block as u64) << 24)
             .wrapping_add(u64::from(pos) << 2)
             .wrapping_add(salt.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -186,19 +208,29 @@ impl<'a> TraceWalker<'a> {
         z ^ (z >> 31)
     }
 
-    fn static_class(&self, pos: u32) -> OpClass {
-        // Low-discrepancy (Weyl) assignment: within any block the classes
-        // track the mix proportions closely, so even a tiny hot loop has a
-        // realistic load/store fraction. The per-block hash phase keeps
-        // blocks distinct; the golden-ratio stride equidistributes over
-        // positions.
-        let phase = (self.static_hash(0, 11) >> 11) as f64 / (1u64 << 53) as f64;
-        let u = (phase + f64::from(pos) * 0.618_033_988_749_895).fract();
-        self.mix.sample(u as f32)
-    }
-
-    fn static_dest(&self, pos: u32) -> u8 {
-        2 + (self.static_hash(pos, 2) % 14) as u8
+    /// The static class and destination register of body word `pos` of
+    /// the current block, computing the whole block's entries on its first
+    /// execution.
+    fn static_word(&mut self, pos: u32) -> StaticWord {
+        let start = self.static_starts[self.block] as usize;
+        if let Some(word) = self.statics[start + pos as usize] {
+            return word;
+        }
+        // Low-discrepancy (Weyl) class assignment: within any block the
+        // classes track the mix proportions closely, so even a tiny hot
+        // loop has a realistic load/store fraction. The per-block hash
+        // phase keeps blocks distinct; the golden-ratio stride
+        // equidistributes over positions.
+        let phase = (self.static_hash(self.block, 0, 11) >> 11) as f64 / (1u64 << 53) as f64;
+        let body_len = self.program.block(self.block).body_len;
+        for p in 0..body_len {
+            let u = (phase + f64::from(p) * 0.618_033_988_749_895).fract();
+            self.statics[start + p as usize] = Some(StaticWord {
+                class: self.mix.sample(u as f32),
+                dest: 2 + (self.static_hash(self.block, p, 2) % 14) as u8,
+            });
+        }
+        self.statics[start + pos as usize].expect("the block's words were just filled")
     }
 
     fn pick_src(&mut self) -> Option<u8> {
@@ -240,7 +272,7 @@ impl<'a> TraceWalker<'a> {
     fn body_op(&mut self) -> TraceOp {
         let block = self.program.block(self.block);
         let pc = self.layout.instr_addr(self.block, self.pos);
-        let class = self.static_class(self.pos);
+        let StaticWord { class, dest } = self.static_word(self.pos);
         self.meta = StepMeta {
             block: self.block,
             word: self.pos,
@@ -270,7 +302,6 @@ impl<'a> TraceWalker<'a> {
                     op.mem_addr = Some(self.datagen.next_addr());
                 }
                 op.src1 = self.pick_src();
-                let dest = self.static_dest(self.pos);
                 op.dest = Some(dest);
                 self.note_dest(dest);
             }
@@ -283,7 +314,6 @@ impl<'a> TraceWalker<'a> {
             _ => {
                 op.src1 = self.pick_src();
                 op.src2 = self.pick_src();
-                let dest = self.static_dest(self.pos);
                 op.dest = Some(dest);
                 self.note_dest(dest);
             }
