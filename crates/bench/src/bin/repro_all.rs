@@ -168,7 +168,7 @@ fn main() {
     println!();
     println!(
         "engine: computed={} from_store={} cells_from_store={} link_failures={} \
-         trials/sec={:.0} link={:.1}s sim={:.1}s wall={:.1}s",
+         trials/sec={:.0} link={:.1}s sim={:.1}s walk={:.1}s wall={:.1}s",
         stats.trials_computed,
         stats.trials_from_store,
         stats.cells_from_store,
@@ -176,6 +176,7 @@ fn main() {
         stats.trials_per_sec(),
         stats.link_nanos as f64 / 1e9,
         stats.sim_nanos as f64 / 1e9,
+        stats.walk_nanos as f64 / 1e9,
         stats.wall_nanos as f64 / 1e9,
     );
 }

@@ -114,6 +114,7 @@ fn stats_delta(after: EngineStats, before: EngineStats) -> EngineStats {
         invariant_violations: after.invariant_violations - before.invariant_violations,
         link_nanos: after.link_nanos - before.link_nanos,
         sim_nanos: after.sim_nanos - before.sim_nanos,
+        walk_nanos: after.walk_nanos - before.walk_nanos,
         wall_nanos: after.wall_nanos - before.wall_nanos,
     }
 }
@@ -220,6 +221,7 @@ impl ProfileReport {
                 invariant_violations: acc.invariant_violations + s.stats.invariant_violations,
                 link_nanos: acc.link_nanos + s.stats.link_nanos,
                 sim_nanos: acc.sim_nanos + s.stats.sim_nanos,
+                walk_nanos: acc.walk_nanos + s.stats.walk_nanos,
                 wall_nanos: acc.wall_nanos + s.stats.wall_nanos,
             })
     }
@@ -251,8 +253,11 @@ impl ProfileReport {
                 s.stats.trials_computed,
                 s.stats.trials_per_sec()
             );
-            let trial_total = snap.timer_total_nanos("engine.trial_nanos");
-            let rows: [(&str, u64, String); 5] = [
+            // Walk groups charge each trial only its own work and time the
+            // shared walk once, so the two timers add up without overlap.
+            let walk_total = snap.timer_total_nanos("engine.walk_nanos");
+            let trial_total = snap.timer_total_nanos("engine.trial_nanos") + walk_total;
+            let rows: [(&str, u64, String); 6] = [
                 (
                     "engine",
                     trial_total,
@@ -274,11 +279,23 @@ impl ProfileReport {
                     ),
                 ),
                 (
+                    "walker",
+                    walk_total,
+                    format!(
+                        "shared walks={}",
+                        snap.timers.get("engine.walk_nanos").map_or(0, |h| h.count)
+                    ),
+                ),
+                (
+                    // `linker.links` counts the trials that needed an image
+                    // (a link-memo hit replays its link's counters); the
+                    // time is of the links performed, which the row names.
                     "linker",
                     snap.timer_total_nanos("linker.link_nanos"),
                     format!(
-                        "links={} blocks={} jumps_elided={}",
+                        "links={} performed={} blocks={} jumps_elided={}",
                         snap.counter("linker.links"),
+                        snap.timers.get("linker.link_nanos").map_or(0, |h| h.count),
                         snap.counter("linker.blocks_placed"),
                         snap.counter("linker.jumps_elided")
                     ),
@@ -434,12 +451,30 @@ mod tests {
         assert_eq!(lean, again.to_json(false));
     }
 
+    /// Which worker links an image first, and so how often the link memo
+    /// hits, depends on thread timing; walk groups depend on the thread
+    /// count. Neither may reach the deterministic half, on the template
+    /// path or past the template cap.
+    #[test]
+    fn deterministic_json_is_independent_of_thread_count() {
+        for trace_instrs in [4000, 50_500] {
+            let render = |threads: usize| {
+                let mut opts = tiny();
+                opts.cfg.trace_instrs = trace_instrs;
+                opts.cfg.threads = threads;
+                run_profile(&opts).to_json(false)
+            };
+            assert_eq!(render(1), render(4), "trace_instrs {trace_instrs}");
+        }
+    }
+
     #[test]
     fn text_rendering_mentions_every_subsystem() {
         let report = run_profile(&tiny());
         let text = report.to_text();
         for needle in [
             "engine",
+            "walker",
             "linker",
             "sram/bist",
             "sram/faultmap",

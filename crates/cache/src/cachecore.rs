@@ -4,7 +4,7 @@ use serde::{Deserialize, Serialize};
 
 use dvs_sram::{CacheGeometry, FrameId};
 
-use crate::{Addr, LruQueue};
+use crate::Addr;
 
 /// Operating mode of a [`CacheCore`].
 ///
@@ -50,11 +50,27 @@ pub struct Eviction {
     pub dirty: bool,
 }
 
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-struct Frame {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
+/// Valid bit of a packed frame.
+const VALID: u64 = 1;
+/// Dirty bit of a packed frame.
+const DIRTY: u64 = 2;
+/// Bits below the tag in a packed frame.
+const TAG_SHIFT: u32 = 2;
+
+/// Packs a valid, clean frame holding `tag`: `tag << 2 | dirty << 1 |
+/// valid`.
+///
+/// # Panics
+///
+/// Panics if `tag` needs more than 62 bits. Blocks hold at least one
+/// 4-byte word, so an [`Addr`]'s tag always fits; the assert keeps a
+/// wider tag from being silently truncated.
+fn pack_valid(tag: u64) -> u64 {
+    assert!(
+        tag >> (64 - TAG_SHIFT) == 0,
+        "tag {tag:#x} does not fit a packed frame"
+    );
+    tag << TAG_SHIFT | VALID
 }
 
 /// A cache tag array: validity, tags, dirty bits and LRU state.
@@ -63,6 +79,10 @@ struct Frame {
 /// workspace are timing models, and the fault-tolerance schemes layer word
 /// validity on top (see `dvs-schemes`). It answers "is block X present,
 /// and in which frame?" and performs fills/evictions.
+///
+/// Each frame is one packed `u64` (`tag << 2 | dirty << 1 | valid`) and
+/// the true-LRU state of every set lives in one flat array, so a tag
+/// array costs two heap allocations whatever its set count.
 ///
 /// # Example
 ///
@@ -79,9 +99,11 @@ struct Frame {
 pub struct CacheCore {
     geometry: CacheGeometry,
     mode: CacheMode,
-    /// `frames[set * ways + way]`.
-    frames: Vec<Frame>,
-    lru: Vec<LruQueue>,
+    /// Packed frames, `frames[set * ways + way]`.
+    frames: Vec<u64>,
+    /// Per-set recency order, `lru[set * ways..][..ways]`: way indices
+    /// from most to least recently used.
+    lru: Vec<u8>,
     /// Valid lines dropped by [`CacheCore::invalidate`] and
     /// [`CacheCore::invalidate_all`] over the cache's lifetime.
     invalidations: u64,
@@ -89,22 +111,18 @@ pub struct CacheCore {
 
 impl CacheCore {
     /// Creates an empty cache in set-associative mode.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometry has more than 255 ways.
     pub fn new(geometry: CacheGeometry) -> Self {
-        let frames = vec![
-            Frame {
-                tag: 0,
-                valid: false,
-                dirty: false,
-            };
-            geometry.total_lines() as usize
-        ];
-        let lru = (0..geometry.sets())
-            .map(|_| LruQueue::new(geometry.ways()))
-            .collect();
+        let ways = geometry.ways();
+        assert!(ways <= 255, "unsupported way count {ways}");
+        let lru = (0..geometry.sets()).flat_map(|_| 0..ways as u8).collect();
         CacheCore {
             geometry,
             mode: CacheMode::SetAssociative,
-            frames,
+            frames: vec![0; geometry.total_lines() as usize],
             lru,
             invalidations: 0,
         }
@@ -139,12 +157,12 @@ impl CacheCore {
     /// [`CacheCore::invalidations`].
     pub fn invalidate_all(&mut self) {
         self.invalidations += u64::from(self.valid_lines());
-        for f in &mut self.frames {
-            f.valid = false;
-            f.dirty = false;
-        }
-        for q in &mut self.lru {
-            q.reset();
+        self.frames.fill(0);
+        let ways = self.geometry.ways() as usize;
+        for order in self.lru.chunks_exact_mut(ways) {
+            for (way, w) in order.iter_mut().enumerate() {
+                *w = way as u8;
+            }
         }
     }
 
@@ -158,6 +176,28 @@ impl CacheCore {
 
     fn frame_index(&self, frame: FrameId) -> usize {
         (frame.set * self.geometry.ways() + frame.way) as usize
+    }
+
+    /// The recency order of `set`, most recent way first.
+    fn lru_order(&self, set: u32) -> &[u8] {
+        let ways = self.geometry.ways() as usize;
+        &self.lru[set as usize * ways..][..ways]
+    }
+
+    /// Marks `way` of `set` most recently used.
+    fn touch(&mut self, set: u32, way: u32) {
+        let ways = self.geometry.ways() as usize;
+        let order = &mut self.lru[set as usize * ways..][..ways];
+        let pos = order
+            .iter()
+            .position(|&w| u32::from(w) == way)
+            .unwrap_or_else(|| panic!("way {way} out of range {ways}"));
+        order[..=pos].rotate_right(1);
+    }
+
+    /// Whether packed frame `f` holds `tag`.
+    fn holds(f: u64, tag: u64) -> bool {
+        f & VALID != 0 && f >> TAG_SHIFT == tag
     }
 
     /// The frame a block maps to in direct-mapped mode: the combined
@@ -176,19 +216,24 @@ impl CacheCore {
         match self.mode {
             CacheMode::SetAssociative => {
                 let set = addr.set_index(&self.geometry);
-                for way in 0..self.geometry.ways() {
-                    let frame = FrameId { set, way };
-                    let f = &self.frames[self.frame_index(frame)];
-                    if f.valid && f.tag == tag {
-                        return LookupResult::Hit { frame };
-                    }
+                let base = self.frame_index(FrameId { set, way: 0 });
+                let ways = self.geometry.ways() as usize;
+                match self.frames[base..base + ways]
+                    .iter()
+                    .position(|&f| Self::holds(f, tag))
+                {
+                    Some(way) => LookupResult::Hit {
+                        frame: FrameId {
+                            set,
+                            way: way as u32,
+                        },
+                    },
+                    None => LookupResult::Miss,
                 }
-                LookupResult::Miss
             }
             CacheMode::DirectMapped => {
                 let frame = self.direct_mapped_frame(addr);
-                let f = &self.frames[self.frame_index(frame)];
-                if f.valid && f.tag == tag {
+                if Self::holds(self.frames[self.frame_index(frame)], tag) {
                     LookupResult::Hit { frame }
                 } else {
                     LookupResult::Miss
@@ -202,7 +247,7 @@ impl CacheCore {
         let result = self.probe(addr);
         if let LookupResult::Hit { frame } = result {
             if self.mode == CacheMode::SetAssociative {
-                self.lru[frame.set as usize].touch(frame.way);
+                self.touch(frame.set, frame.way);
             }
         }
         result
@@ -214,13 +259,32 @@ impl CacheCore {
         match self.mode {
             CacheMode::SetAssociative => {
                 let set = addr.set_index(&self.geometry);
+                let victim = *self.lru_order(set).last().expect("sets have ways");
                 FrameId {
                     set,
-                    way: self.lru[set as usize].victim(),
+                    way: u32::from(victim),
                 }
             }
             CacheMode::DirectMapped => self.direct_mapped_frame(addr),
         }
+    }
+
+    /// Writes a valid, clean copy of `addr`'s block into `frame`,
+    /// returning the valid occupant it displaced, and makes the frame
+    /// most recently used in SA mode.
+    fn install(&mut self, addr: Addr, frame: FrameId) -> Option<Eviction> {
+        let idx = self.frame_index(frame);
+        let old = self.frames[idx];
+        let evicted = (old & VALID != 0).then(|| Eviction {
+            // Reconstruct the victim's block number from its tag and set.
+            block_number: (old >> TAG_SHIFT) << self.geometry.index_bits() | u64::from(frame.set),
+            dirty: old & DIRTY != 0,
+        });
+        self.frames[idx] = pack_valid(addr.tag(&self.geometry));
+        if self.mode == CacheMode::SetAssociative {
+            self.touch(frame.set, frame.way);
+        }
+        evicted
     }
 
     /// Inserts the block containing `addr`, evicting the victim if the
@@ -233,28 +297,7 @@ impl CacheCore {
             return (frame, None);
         }
         let frame = self.victim_frame(addr);
-        let tag = addr.tag(&self.geometry);
-        let idx = self.frame_index(frame);
-        let evicted = if self.frames[idx].valid {
-            // Reconstruct the victim's block number from its tag and set.
-            let block_number =
-                (self.frames[idx].tag << self.geometry.index_bits()) | u64::from(frame.set);
-            Some(Eviction {
-                block_number,
-                dirty: self.frames[idx].dirty,
-            })
-        } else {
-            None
-        };
-        self.frames[idx] = Frame {
-            tag,
-            valid: true,
-            dirty: false,
-        };
-        if self.mode == CacheMode::SetAssociative {
-            self.lru[frame.set as usize].touch(frame.way);
-        }
-        (frame, evicted)
+        (frame, self.install(addr, frame))
     }
 
     /// Inserts the block containing `addr` into a *specific* way of its
@@ -275,26 +318,7 @@ impl CacheCore {
             CacheMode::DirectMapped => self.direct_mapped_frame(addr).set,
         };
         let frame = FrameId { set, way };
-        let idx = self.frame_index(frame);
-        let evicted = if self.frames[idx].valid {
-            let block_number =
-                (self.frames[idx].tag << self.geometry.index_bits()) | u64::from(frame.set);
-            Some(Eviction {
-                block_number,
-                dirty: self.frames[idx].dirty,
-            })
-        } else {
-            None
-        };
-        self.frames[idx] = Frame {
-            tag: addr.tag(&self.geometry),
-            valid: true,
-            dirty: false,
-        };
-        if self.mode == CacheMode::SetAssociative {
-            self.lru[frame.set as usize].touch(frame.way);
-        }
-        (frame, evicted)
+        (frame, self.install(addr, frame))
     }
 
     /// LRU recency rank of `way` in `set` (0 = most recent).
@@ -303,7 +327,12 @@ impl CacheCore {
     ///
     /// Panics if `set` or `way` is out of range.
     pub fn way_rank(&self, set: u32, way: u32) -> u32 {
-        self.lru[set as usize].rank(way)
+        assert!(set < self.geometry.sets(), "set {set} out of range");
+        let order = self.lru_order(set);
+        order
+            .iter()
+            .position(|&w| u32::from(w) == way)
+            .unwrap_or_else(|| panic!("way {way} out of range {}", order.len())) as u32
     }
 
     /// Marks the block containing `addr` dirty if present; returns whether
@@ -312,7 +341,7 @@ impl CacheCore {
         match self.probe(addr) {
             LookupResult::Hit { frame } => {
                 let idx = self.frame_index(frame);
-                self.frames[idx].dirty = true;
+                self.frames[idx] |= DIRTY;
                 true
             }
             LookupResult::Miss => false,
@@ -327,10 +356,9 @@ impl CacheCore {
                 let idx = self.frame_index(frame);
                 let ev = Eviction {
                     block_number: addr.block_number(&self.geometry),
-                    dirty: self.frames[idx].dirty,
+                    dirty: self.frames[idx] & DIRTY != 0,
                 };
-                self.frames[idx].valid = false;
-                self.frames[idx].dirty = false;
+                self.frames[idx] = 0;
                 self.invalidations += 1;
                 Some(ev)
             }
@@ -340,7 +368,7 @@ impl CacheCore {
 
     /// Number of valid frames.
     pub fn valid_lines(&self) -> u32 {
-        self.frames.iter().filter(|f| f.valid).count() as u32
+        self.frames.iter().filter(|&&f| f & VALID != 0).count() as u32
     }
 }
 
@@ -540,6 +568,22 @@ mod tests {
             ev.expect("full set").block_number,
             addrs[0].block_number(&g)
         );
+    }
+
+    #[test]
+    fn widest_tag_packs_and_round_trips() {
+        let tag = u64::MAX >> TAG_SHIFT;
+        let f = pack_valid(tag);
+        assert!(CacheCore::holds(f, tag));
+        assert!(CacheCore::holds(f | DIRTY, tag));
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit a packed frame")]
+    fn over_wide_tag_fails_the_packing_assert() {
+        // One bit past the 62 the packed frame keeps: truncating it would
+        // alias tag 0.
+        let _ = pack_valid(1 << (64 - TAG_SHIFT));
     }
 
     proptest! {

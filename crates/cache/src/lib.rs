@@ -35,7 +35,6 @@ mod addr;
 mod cachecore;
 mod l2;
 mod latency;
-mod lru;
 mod obs;
 mod stats;
 mod writebuf;
@@ -44,7 +43,6 @@ pub use addr::Addr;
 pub use cachecore::{CacheCore, CacheMode, Eviction, LookupResult};
 pub use l2::{L2Cache, L2Outcome};
 pub use latency::LatencyConfig;
-pub use lru::LruQueue;
 pub use obs::{HierarchyObs, ServiceLevel};
 pub use stats::MemStats;
 pub use writebuf::WriteBuffer;

@@ -4,9 +4,10 @@
 //! that wants to stop a campaign (a service's drain path, a Ctrl-C
 //! handler) and the [`crate::Evaluator`] executing it. Cancellation is
 //! *trial-granular*: workers finish the trial they are currently
-//! simulating, stop claiming new ones, and every cell whose full trial
-//! set completed before the stop is installed and persisted exactly as
-//! if the campaign had run to completion. Cells left incomplete surface
+//! simulating (a walk group stops at its next chunk of the shared walk
+//! and drops its unfinished members), stop claiming new ones, and every
+//! cell whose full trial set completed before the stop is installed and
+//! persisted exactly as if the campaign had run to completion. Cells left incomplete surface
 //! as [`crate::EvalError::Cancelled`] and are **not** written to the
 //! result store, so a later retry recomputes them from scratch.
 

@@ -7,10 +7,17 @@
 //! worker grinds through an expensive link, the others keep consuming
 //! whatever trials remain anywhere in the plan.
 //!
+//! Trials that would each walk the same program's CFG (figure-scale
+//! traces past the template cap) are claimed as **walk groups**: one walk
+//! of the shared program variant drives every member, and each member
+//! resolves the walked steps against its own linked image (see
+//! [`run_group`]).
+//!
 //! The pool is deterministic by construction: every trial's RNG seed
 //! depends only on (root seed, benchmark, voltage, trial index), and
 //! per-cell results are re-sorted by trial index after the drain, so
-//! scheduling order, thread count and store hits never change a result.
+//! scheduling order, thread count, grouping and store hits never change
+//! a result.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -18,16 +25,16 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
-use dvs_cpu::{simulate, CoreConfig, MemSystem, SimResult};
+use dvs_cpu::{simulate, Core, CoreConfig, MemSystem, SimResult};
 use dvs_linker::{BbrLinker, Diagnostic, LinkStats, Severity};
-use dvs_obs::{Recorder, Span};
+use dvs_obs::{LogHistogram, Recorder, Span};
 use dvs_power::energy::RunCounts;
 use dvs_schemes::L1Cache;
 use dvs_sram::montecarlo::trial_seed;
 use dvs_sram::{
     ladder_mv, CacheGeometry, FaultChain, FaultMap, FaultModel, MilliVolts, PfailModel,
 };
-use dvs_workloads::{Layout, Program, TraceOp, TraceTemplate, Workload};
+use dvs_workloads::{Layout, Program, TraceOp, TraceStep, TraceTemplate, Workload};
 
 use crate::cancel::CancelToken;
 use crate::eval::TrialMetrics;
@@ -58,29 +65,36 @@ static TRIAL_GATE: TrialGate = TrialGate {
 };
 
 impl TrialGate {
-    /// Blocks until fewer than `limit` trials are active process-wide,
-    /// then reserves a slot. The slot is released when the returned
-    /// permit drops.
-    fn acquire(&'static self, limit: usize) -> GatePermit {
+    /// Blocks until `trials` more trials fit under `limit` process-wide,
+    /// then reserves that many slots. The slots are released when the
+    /// returned permit drops. `trials` must not exceed `limit` (the plan
+    /// caps walk groups at `max_parallel_trials`), or it would wait
+    /// forever.
+    fn acquire(&'static self, limit: usize, trials: usize) -> GatePermit {
         let limit = limit.max(1);
+        assert!(
+            trials <= limit,
+            "{trials} trials can never fit a gate of {limit}"
+        );
         let mut state = self.state.lock().expect("trial gate lock poisoned");
-        while state.active >= limit {
+        while state.active + trials > limit {
             state = self.cv.wait(state).expect("trial gate lock poisoned");
         }
-        state.active += 1;
+        state.active += trials;
         state.high_water = state.high_water.max(state.active);
-        GatePermit { gate: self }
+        GatePermit { gate: self, trials }
     }
 }
 
 struct GatePermit {
     gate: &'static TrialGate,
+    trials: usize,
 }
 
 impl Drop for GatePermit {
     fn drop(&mut self) {
         let mut state = self.gate.state.lock().expect("trial gate lock poisoned");
-        state.active -= 1;
+        state.active -= self.trials;
         drop(state);
         self.gate.cv.notify_all();
     }
@@ -114,6 +128,13 @@ pub(crate) struct BenchArtifacts {
     pub(crate) seq_layout: Layout,
 }
 
+/// A BBR-compiled (unrelaxed) program at one split threshold, with the
+/// sequential layout templates and walk groups walk it under.
+pub(crate) struct Transformed {
+    pub(crate) program: Program,
+    pub(crate) seq_layout: Layout,
+}
+
 /// One cell ready for execution: its identity plus the shared inputs the
 /// trials borrow. Programs are shared by `Arc`, never cloned per trial.
 pub(crate) struct CellContext {
@@ -122,7 +143,7 @@ pub(crate) struct CellContext {
     pub(crate) trials: u64,
     pub(crate) seed_base: u64,
     pub(crate) artifacts: Arc<BenchArtifacts>,
-    pub(crate) transformed: Option<Arc<Program>>,
+    pub(crate) transformed: Option<Arc<Transformed>>,
     /// Recorded trace template for this cell's program variant, when
     /// [`crate::EvalConfig::reuse_buffers`] enables templating.
     pub(crate) template: Option<Arc<TraceTemplate>>,
@@ -131,6 +152,22 @@ pub(crate) struct CellContext {
     /// it once per transform instead of once per trial. `Some` fails
     /// every trial of the cell before any cycles are spent.
     pub(crate) equiv_diag: Option<Diagnostic>,
+}
+
+impl CellContext {
+    /// The program variant this cell's trials walk, under its sequential
+    /// layout: the unrelaxed transformed program for FFW+BBR, the
+    /// benchmark's own program otherwise. Cells that share a variant share
+    /// one walk.
+    fn variant(&self) -> (&Program, &Layout) {
+        match &self.transformed {
+            Some(t) => (&t.program, &t.seq_layout),
+            None => (
+                self.artifacts.workload.program(),
+                &self.artifacts.seq_layout,
+            ),
+        }
+    }
 }
 
 /// Worker-local state reused across trials
@@ -152,6 +189,8 @@ pub(crate) struct TrialArena {
     links: HashMap<(usize, u64), CachedLink>,
     /// Resolved-trace scratch buffer.
     trace: Vec<TraceOp>,
+    /// Walk-group chunk buffer.
+    steps: Vec<TraceStep>,
 }
 
 /// Largest number of cached linked images per worker; past this, misses
@@ -210,6 +249,61 @@ struct CachedLink {
     program: Arc<Program>,
     layout: Arc<Layout>,
     stats: LinkStats,
+    /// The counters the link and its validation recorded.
+    replay: Vec<(&'static str, u64)>,
+}
+
+/// A recorder that forwards everything to `inner` and keeps a log of the
+/// counters added. A link-memo hit replays the log of the link it stands
+/// in for, so linker and lint counters read the same whichever worker
+/// happened to link an image first — and so at any thread count. The
+/// linker and the lints record counters and timers only; timers are
+/// volatile and not replayed.
+#[derive(Debug)]
+struct Capture<'a> {
+    inner: &'a dyn Recorder,
+    log: Mutex<Vec<(&'static str, u64)>>,
+}
+
+impl<'a> Capture<'a> {
+    fn new(inner: &'a dyn Recorder) -> Self {
+        Capture {
+            inner,
+            log: Mutex::new(Vec::new()),
+        }
+    }
+
+    fn into_log(self) -> Vec<(&'static str, u64)> {
+        self.log.into_inner().expect("capture lock poisoned")
+    }
+}
+
+impl Recorder for Capture<'_> {
+    fn enabled(&self) -> bool {
+        self.inner.enabled()
+    }
+    fn add(&self, name: &'static str, delta: u64) {
+        self.inner.add(name, delta);
+        self.log
+            .lock()
+            .expect("capture lock poisoned")
+            .push((name, delta));
+    }
+    fn gauge(&self, name: &'static str, value: u64) {
+        self.inner.gauge(name, value);
+    }
+    fn observe(&self, name: &'static str, value: u64) {
+        self.inner.observe(name, value);
+    }
+    fn observe_hist(&self, name: &'static str, hist: &LogHistogram) {
+        self.inner.observe_hist(name, hist);
+    }
+    fn duration(&self, name: &'static str, nanos: u64) {
+        self.inner.duration(name, nanos);
+    }
+    fn event(&self, name: &'static str, value: u64) {
+        self.inner.event(name, value);
+    }
 }
 
 /// FNV-1a over a fault map's storage words (an index for the link cache;
@@ -286,6 +380,7 @@ pub(crate) struct EngineCounters {
     pub(crate) invariant_violations: AtomicU64,
     pub(crate) link_nanos: AtomicU64,
     pub(crate) sim_nanos: AtomicU64,
+    pub(crate) walk_nanos: AtomicU64,
     pub(crate) wall_nanos: AtomicU64,
 }
 
@@ -320,6 +415,7 @@ impl EngineCounters {
             invariant_violations: self.invariant_violations.load(Ordering::Relaxed),
             link_nanos: self.link_nanos.load(Ordering::Relaxed),
             sim_nanos: self.sim_nanos.load(Ordering::Relaxed),
+            walk_nanos: self.walk_nanos.load(Ordering::Relaxed),
             wall_nanos: self.wall_nanos.load(Ordering::Relaxed),
         }
     }
@@ -348,9 +444,17 @@ pub struct EngineStats {
     /// Wall-clock nanoseconds spent inside the BBR linker (summed over
     /// workers, so this can exceed `wall_nanos`).
     pub link_nanos: u64,
-    /// Wall-clock nanoseconds spent in fault sampling + CPU simulation
-    /// (summed over workers).
+    /// Wall-clock nanoseconds each trial spent on its own work (summed
+    /// over workers): fault sampling, its link or link-memo hit (so this
+    /// overlaps `link_nanos`), memory-system build and CPU simulation.
+    /// A trial that walks the CFG for itself
+    /// (the template fallback, or `reuse_buffers` off) includes its walk
+    /// here; the shared walks of walk groups are in `walk_nanos`, so the
+    /// two add up without overlap.
     pub sim_nanos: u64,
+    /// Wall-clock nanoseconds spent on the shared CFG walks of walk
+    /// groups, each walk counted once (summed over workers).
+    pub walk_nanos: u64,
     /// Wall-clock nanoseconds spent inside `run_plan`.
     pub wall_nanos: u64,
 }
@@ -411,6 +515,110 @@ pub(crate) struct DrainScope<'a> {
     pub(crate) cancel: Option<&'a CancelToken>,
 }
 
+/// Walked steps each member of a walk group resolves and simulates
+/// before the walk goes on. Large enough to amortise the per-chunk timers
+/// and cancel check, small enough that the chunk stays in cache while
+/// every member reads it.
+const WALK_CHUNK: usize = 256;
+
+/// Most members a walk group may have, whatever the plan's size. Every
+/// member holds its own memory system (about 184 KB), fault maps and
+/// image until the group ends, so this bounds what one worker keeps
+/// alive; the walk's share of a member's time is already down to a sixth
+/// of one walk at this size (see DESIGN.md, "Walk groups").
+#[doc(hidden)]
+pub const WALK_GROUP_MAX_MEMBERS: usize = 6;
+
+/// One unit of work on the drain cursor.
+enum Task {
+    /// A trial that obtains its own trace: from its cell's template, or
+    /// from a walk of its own when the arena is off (the reference path).
+    Trial(usize, u64),
+    /// Walker-path trials of one program variant, in plan order, driven
+    /// by one CFG walk ([`run_group`]).
+    Group(Vec<(usize, u64)>),
+}
+
+impl Task {
+    /// Trials this task keeps alive at once.
+    fn trials(&self) -> usize {
+        match self {
+            Task::Trial(..) => 1,
+            Task::Group(members) => members.len(),
+        }
+    }
+}
+
+/// Splits the plan into tasks.
+///
+/// A trial is on the walker path when the arena is on and its cell has no
+/// template. Walker-path trials of one program variant (one benchmark's
+/// own program, or its transformed program at one split threshold) form
+/// a walk group in plan order, cut into consecutive runs of at most
+/// ⌈walker-path trials ÷ workers⌉ members, so every worker still gets
+/// work, and never more than [`WALK_GROUP_MAX_MEMBERS`] or
+/// `max_parallel_trials` members, so what a group keeps alive stays small
+/// and fits the trial gate. Every other trial is a task of its own.
+fn plan_tasks(cfg: &EvalConfig, cells: &[CellContext], workers: usize) -> Vec<Task> {
+    let grouped = |c: &CellContext| cfg.reuse_buffers && c.template.is_none();
+    let walker_trials: u64 = cells.iter().filter(|c| grouped(c)).map(|c| c.trials).sum();
+    let cap = (walker_trials.div_ceil(workers as u64) as usize)
+        .min(WALK_GROUP_MAX_MEMBERS)
+        .min(cfg.max_parallel_trials.unwrap_or(usize::MAX))
+        .max(1);
+    let mut tasks = Vec::new();
+    // The task index of each variant's open group.
+    let mut open: HashMap<*const Program, usize> = HashMap::new();
+    for (ci, cell) in cells.iter().enumerate() {
+        for trial in 0..cell.trials {
+            if !grouped(cell) {
+                tasks.push(Task::Trial(ci, trial));
+                continue;
+            }
+            let variant: *const Program = cell.variant().0;
+            if let Some(Task::Group(members)) = open.get(&variant).map(|&ti| &mut tasks[ti]) {
+                if members.len() < cap {
+                    members.push((ci, trial));
+                    continue;
+                }
+            }
+            open.insert(variant, tasks.len());
+            tasks.push(Task::Group(vec![(ci, trial)]));
+        }
+    }
+    tasks
+}
+
+/// What every worker of one drain shares.
+struct Drain<'a> {
+    cfg: &'a EvalConfig,
+    core: &'a CoreConfig,
+    geometry: &'a CacheGeometry,
+    counters: &'a EngineCounters,
+    recorder: Option<&'a Arc<dyn Recorder>>,
+    /// Link-memo hits in this drain. Which worker links an image first
+    /// depends on timing, so the total is reported as a volatile gauge,
+    /// never as a deterministic counter.
+    link_hits: AtomicU64,
+    /// Most walk-group members alive at once on any worker of this drain
+    /// (volatile: grouping depends on the thread count).
+    group_high_water: AtomicU64,
+}
+
+impl Drain<'_> {
+    fn rec(&self) -> Option<&dyn Recorder> {
+        self.recorder.map(|r| r.as_ref() as &dyn Recorder)
+    }
+
+    /// Charges `nanos` of one trial's own preparation and simulation.
+    fn charge_sim(&self, nanos: u64) {
+        self.counters.sim_nanos.fetch_add(nanos, Ordering::Relaxed);
+        if let Some(r) = self.rec() {
+            r.duration("engine.sim_nanos", nanos);
+        }
+    }
+}
+
 /// Drains every trial of `cells` through one shared worker pool.
 ///
 /// Returns the per-cell trial outcomes sorted by trial index.
@@ -423,13 +631,16 @@ pub(crate) fn execute_cells(
     recorder: Option<&Arc<dyn Recorder>>,
     scope: DrainScope<'_>,
 ) -> Vec<TrialOutcomes> {
-    // Flatten the plan into one task list so workers balance across
+    let trials: u64 = cells.iter().map(|c| c.trials).sum();
+    let workers = cfg
+        .threads
+        .max(1)
+        .min(trials.max(1) as usize)
+        .min(cfg.max_parallel_trials.unwrap_or(usize::MAX).max(1));
+    // One task list over the whole plan, so workers balance across
     // cells, not within them.
-    let tasks: Vec<(usize, u64)> = cells
-        .iter()
-        .enumerate()
-        .flat_map(|(ci, c)| (0..c.trials).map(move |t| (ci, t)))
-        .collect();
+    let tasks = plan_tasks(cfg, cells, workers);
+    let workers = workers.min(tasks.len().max(1));
     let cursor = AtomicUsize::new(0);
     let collectors: Vec<Mutex<TrialOutcomes>> = cells
         .iter()
@@ -437,73 +648,91 @@ pub(crate) fn execute_cells(
         .collect();
     let outstanding: Vec<AtomicU64> = cells.iter().map(|c| AtomicU64::new(c.trials)).collect();
     let cells_done = AtomicUsize::new(scope.cells_done_before);
+    let drain = Drain {
+        cfg,
+        core,
+        geometry,
+        counters,
+        recorder,
+        link_hits: AtomicU64::new(0),
+        group_high_water: AtomicU64::new(0),
+    };
 
-    let workers = cfg
-        .threads
-        .max(1)
-        .min(tasks.len().max(1))
-        .min(cfg.max_parallel_trials.unwrap_or(usize::MAX).max(1));
+    // Files one finished trial: counters, its cell's collector, and the
+    // progress event when it was the cell's last.
+    let finish = |ci: usize, trial: u64, outcome: TrialOutcome| {
+        counters.record_outcome(&outcome);
+        if let Some(r) = recorder {
+            let name = match &outcome {
+                TrialOutcome::Metrics(_) => "engine.trials.computed",
+                TrialOutcome::LinkFailed => "engine.trials.link_failed",
+                TrialOutcome::Invalid(_) => "engine.trials.invalid",
+            };
+            r.add(name, 1);
+        }
+        collectors[ci]
+            .lock()
+            .expect("collector lock poisoned")
+            .push((trial, outcome));
+        if outstanding[ci].fetch_sub(1, Ordering::AcqRel) == 1 {
+            let done = cells_done.fetch_add(1, Ordering::AcqRel) + 1;
+            if let Some(cb) = scope.callback {
+                cb(&Progress {
+                    cell: cells[ci].key,
+                    trials_computed: cells[ci].trials,
+                    cells_done: done,
+                    cells_total: scope.cells_total,
+                });
+            }
+        }
+    };
+
     std::thread::scope(|s| {
         let mut handles = Vec::with_capacity(workers);
         for _ in 0..workers {
             handles.push(s.spawn(|| {
                 // Worker-local caches (chains, linked images, trace
-                // buffer); purely an accelerator, see [`TrialArena`].
+                // buffers); purely an accelerator, see [`TrialArena`].
                 let mut arena = cfg.reuse_buffers.then(TrialArena::default);
                 loop {
                     if scope.cancel.is_some_and(CancelToken::is_cancelled) {
                         break;
                     }
-                    // Trials from concurrently running evaluators contend
+                    let i = cursor.fetch_add(1, Ordering::Relaxed);
+                    let Some(task) = tasks.get(i) else {
+                        break;
+                    };
+                    // Tasks from concurrently running evaluators contend
                     // for the same process-wide gate, so N campaigns
                     // cannot oversubscribe the machine with N x `threads`
-                    // workers.
-                    let _permit = cfg.max_parallel_trials.map(|n| TRIAL_GATE.acquire(n));
+                    // workers. A walk group keeps all its members alive,
+                    // so it holds one slot per member.
+                    let _permit = cfg
+                        .max_parallel_trials
+                        .map(|n| TRIAL_GATE.acquire(n, task.trials()));
                     if scope.cancel.is_some_and(CancelToken::is_cancelled) {
                         break;
                     }
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(&(ci, trial)) = tasks.get(i) else {
-                        break;
-                    };
                     if let Some(r) = recorder {
                         // Tasks not yet claimed by any worker (volatile).
                         r.gauge("engine.queue.depth", (tasks.len() - (i + 1)) as u64);
                     }
-                    let cell = &cells[ci];
-                    let outcome = run_trial(
-                        cfg,
-                        core,
-                        geometry,
-                        cell,
-                        trial,
-                        counters,
-                        recorder,
-                        arena.as_mut(),
-                    );
-                    counters.record_outcome(&outcome);
-                    if let Some(r) = recorder {
-                        let name = match &outcome {
-                            TrialOutcome::Metrics(_) => "engine.trials.computed",
-                            TrialOutcome::LinkFailed => "engine.trials.link_failed",
-                            TrialOutcome::Invalid(_) => "engine.trials.invalid",
-                        };
-                        r.add(name, 1);
-                    }
-                    collectors[ci]
-                        .lock()
-                        .expect("collector lock poisoned")
-                        .push((trial, outcome));
-                    if outstanding[ci].fetch_sub(1, Ordering::AcqRel) == 1 {
-                        let done = cells_done.fetch_add(1, Ordering::AcqRel) + 1;
-                        if let Some(cb) = scope.callback {
-                            cb(&Progress {
-                                cell: cell.key,
-                                trials_computed: cell.trials,
-                                cells_done: done,
-                                cells_total: scope.cells_total,
-                            });
+                    match task {
+                        &Task::Trial(ci, trial) => {
+                            finish(
+                                ci,
+                                trial,
+                                run_trial(&drain, &cells[ci], trial, arena.as_mut()),
+                            );
                         }
+                        Task::Group(members) => run_group(
+                            &drain,
+                            cells,
+                            members,
+                            arena.as_mut().expect("walk groups run with the arena on"),
+                            scope.cancel,
+                            &finish,
+                        ),
                     }
                 }
             }));
@@ -512,6 +741,13 @@ pub(crate) fn execute_cells(
             h.join().expect("trial worker panicked");
         }
     });
+    if let Some(r) = recorder {
+        r.gauge("engine.link_cache.hits", drain.link_hits.into_inner());
+        r.gauge(
+            "engine.walk_group.max_members",
+            drain.group_high_water.into_inner(),
+        );
+    }
 
     collectors
         .into_iter()
@@ -542,7 +778,17 @@ impl TrialImage<'_> {
     }
 }
 
-/// Runs one Monte-Carlo trial.
+/// A trial ready to simulate.
+struct Prepared<'a> {
+    image: TrialImage<'a>,
+    mem: MemSystem,
+    link_stats: Option<LinkStats>,
+}
+
+/// Everything one trial does before its first simulated instruction:
+/// fault maps, the BBR link (or a link-memo hit), image validation and
+/// the memory system. A failed link or an invalid image ends the trial
+/// here, with that outcome.
 ///
 /// The non-BBR path borrows the benchmark's program and sequential
 /// layout straight from the shared artifacts — nothing is cloned on the
@@ -550,29 +796,24 @@ impl TrialImage<'_> {
 /// linked images across the worker's trials; every cached value is a
 /// deterministic function of seeds and cell identity, so warm and cold
 /// caches produce bit-identical outcomes.
-#[allow(clippy::too_many_arguments)]
-fn run_trial(
-    cfg: &EvalConfig,
-    core: &CoreConfig,
-    geometry: &CacheGeometry,
-    cell: &CellContext,
+fn prepare_trial<'a>(
+    d: &Drain<'_>,
+    cell: &'a CellContext,
     trial: u64,
-    counters: &EngineCounters,
-    recorder: Option<&Arc<dyn Recorder>>,
     arena: Option<&mut TrialArena>,
-) -> TrialOutcome {
+) -> Result<Prepared<'a>, TrialOutcome> {
+    let cfg = d.cfg;
+    let geometry = d.geometry;
     let scheme = cell.key.scheme;
     let point = cell.point;
     let art = &*cell.artifacts;
-    let rec: Option<&dyn Recorder> = recorder.map(|r| r.as_ref() as &dyn Recorder);
-    let _trial_span = rec.map(|r| Span::enter(r, "engine.trial_nanos"));
+    let rec = d.rec();
 
-    let (chains, links, trace_buf) = match arena {
-        Some(a) => (Some(&mut a.chains), Some(&mut a.links), Some(&mut a.trace)),
-        None => (None, None, None),
+    let (chains, links) = match arena {
+        Some(a) => (Some(&mut a.chains), Some(&mut a.links)),
+        None => (None, None),
     };
 
-    let sim_start = Instant::now();
     // Fault maps depend on (seed, benchmark, trial) and the voltage
     // ladder but NOT on the scheme, so schemes are compared on identical
     // defect patterns.
@@ -635,8 +876,8 @@ fn run_trial(
         // The transform-equivalence lint depends only on the program
         // pair, so it was checked once per cell (see `CellContext`); a
         // finding fails every trial before any link or sim time.
-        if let Some(d) = &cell.equiv_diag {
-            return TrialOutcome::Invalid(d.clone());
+        if let Some(diag) = &cell.equiv_diag {
+            return Err(TrialOutcome::Invalid(diag.clone()));
         }
         let transformed = cell
             .transformed
@@ -648,34 +889,38 @@ fn run_trial(
             map_fingerprint(map_words),
         );
         let cached = links.as_ref().and_then(|links| {
-            links
-                .get(&cache_key)
-                .filter(|c| c.map_words == map_words)
-                .map(|c| (Arc::clone(&c.program), Arc::clone(&c.layout), c.stats))
+            let c = links.get(&cache_key).filter(|c| c.map_words == map_words)?;
+            if let Some(r) = rec {
+                for &(name, delta) in &c.replay {
+                    r.add(name, delta);
+                }
+            }
+            Some((Arc::clone(&c.program), Arc::clone(&c.layout), c.stats))
         });
         match cached {
             Some((program, layout, stats)) => {
                 // The linker is a deterministic function of (program,
                 // fault map); full map equality was verified above, so
-                // this image is bit-identical to a fresh link.
-                if let Some(r) = rec {
-                    r.add("engine.link_cache.hits", 1);
-                }
+                // this image is bit-identical to a fresh link, and the
+                // replayed metrics match the ones a fresh link records.
+                d.link_hits.fetch_add(1, Ordering::Relaxed);
                 link_stats = Some(stats);
                 TrialImage::Cached(program, layout)
             }
             None => {
+                let capture = rec.map(Capture::new);
+                let rec = capture.as_ref().map(|c| c as &dyn Recorder);
                 let link_start = Instant::now();
                 let linker = BbrLinker::new(*geometry);
                 let image = match rec {
-                    Some(r) => linker.link_recorded(transformed, &fmap_i, r),
-                    None => linker.link(transformed, &fmap_i),
+                    Some(r) => linker.link_recorded(&transformed.program, &fmap_i, r),
+                    None => linker.link(&transformed.program, &fmap_i),
                 };
-                counters
+                d.counters
                     .link_nanos
                     .fetch_add(link_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
                 let Ok(image) = image else {
-                    return TrialOutcome::LinkFailed;
+                    return Err(TrialOutcome::LinkFailed);
                 };
                 if cfg.validate_images {
                     // Full lint pass over the placed image. Trace
@@ -685,8 +930,8 @@ fn run_trial(
                         Some(r) => dvs_analysis::analyze_image_recorded(&image, &fmap_i, None, r),
                         None => dvs_analysis::analyze_image(&image, &fmap_i, None),
                     };
-                    if let Some(d) = diags.into_iter().find(|d| d.severity == Severity::Deny) {
-                        return TrialOutcome::Invalid(d);
+                    if let Some(diag) = diags.into_iter().find(|d| d.severity == Severity::Deny) {
+                        return Err(TrialOutcome::Invalid(diag));
                     }
                 } else if cfg.verify_images {
                     // Verification passes only: the whole-image dataflow
@@ -703,8 +948,8 @@ fn run_trial(
                         Some(r) => registry.run_recorded(&input, r),
                         None => registry.run(&input),
                     };
-                    if let Some(d) = diags.into_iter().find(|d| d.severity == Severity::Deny) {
-                        return TrialOutcome::Invalid(d);
+                    if let Some(diag) = diags.into_iter().find(|d| d.severity == Severity::Deny) {
+                        return Err(TrialOutcome::Invalid(diag));
                     }
                 } else {
                     debug_assert!(image.verify(&fmap_i).is_ok());
@@ -725,6 +970,7 @@ fn run_trial(
                                 program: Arc::clone(&program),
                                 layout: Arc::clone(&layout),
                                 stats,
+                                replay: capture.map(Capture::into_log).unwrap_or_default(),
                             },
                         );
                         TrialImage::Cached(program, layout)
@@ -736,27 +982,46 @@ fn run_trial(
     } else {
         TrialImage::Borrowed(art.workload.program(), &art.seq_layout)
     };
-    let (program, layout) = image.parts();
-
     let mut mem = MemSystem::new(
         L1Cache::new(scheme.l1i_kind(), fmap_i),
         L1Cache::new(scheme.l1d_kind(), fmap_d),
         point.freq_mhz,
     );
-    if let Some(r) = recorder {
+    if let Some(r) = d.recorder {
         mem = mem.with_recorder(r.clone());
     }
-    // Resolve the cell's recorded trace template against this trial's
-    // layout when one is available; fall back to a fresh walker when the
-    // template ran out of steps (both paths replay the identical
-    // instruction stream — see `TraceTemplate`).
+    Ok(Prepared {
+        image,
+        mem,
+        link_stats,
+    })
+}
+
+/// Runs one trial on its own: its cell's recorded template resolved
+/// against the trial's layout, or a fresh walk when there is no template
+/// or it ran out of steps (both replay the identical instruction stream —
+/// see `TraceTemplate`).
+fn run_trial(
+    d: &Drain<'_>,
+    cell: &CellContext,
+    trial: u64,
+    mut arena: Option<&mut TrialArena>,
+) -> TrialOutcome {
+    let rec = d.rec();
+    let _trial_span = rec.map(|r| Span::enter(r, "engine.trial_nanos"));
+    let sim_start = Instant::now();
+    let prepared = match prepare_trial(d, cell, trial, arena.as_deref_mut()) {
+        Ok(p) => p,
+        Err(outcome) => return outcome,
+    };
+    let (program, layout) = prepared.image.parts();
     let mut local_buf = Vec::new();
     let resolved = cell.template.as_deref().and_then(|tpl| {
-        let buf = match trace_buf {
-            Some(b) => b,
+        let buf = match arena {
+            Some(a) => &mut a.trace,
             None => &mut local_buf,
         };
-        tpl.resolve_into(program, layout, cfg.trace_instrs, buf)
+        tpl.resolve_into(program, layout, d.cfg.trace_instrs, buf)
             .then_some(&*buf)
     });
     let result = match resolved {
@@ -764,7 +1029,7 @@ fn run_trial(
             if let Some(r) = rec {
                 r.add("engine.trace_template.resolved", 1);
             }
-            simulate(core, mem, ops.iter().copied())
+            simulate(d.core, prepared.mem, ops.iter().copied())
         }
         None => {
             if cell.template.is_some() {
@@ -772,18 +1037,147 @@ fn run_trial(
                     r.add("engine.trace_template.exhausted", 1);
                 }
             }
-            let trace = art
+            let trace = cell
+                .artifacts
                 .workload
                 .trace_program(program, layout, 0)
-                .take(cfg.trace_instrs);
-            simulate(core, mem, trace)
+                .take(d.cfg.trace_instrs);
+            simulate(d.core, prepared.mem, trace)
         }
     };
-    let sim_elapsed = sim_start.elapsed().as_nanos() as u64;
-    counters.sim_nanos.fetch_add(sim_elapsed, Ordering::Relaxed);
-    if let Some(r) = rec {
-        r.duration("engine.sim_nanos", sim_elapsed);
+    d.charge_sim(sim_start.elapsed().as_nanos() as u64);
+    metrics(result, prepared.link_stats)
+}
+
+/// Runs one walk group: every member's [`prepare_trial`], then one walk
+/// of the members' shared program variant driving all of them.
+///
+/// The walk is of the **unrelaxed** variant under its sequential layout,
+/// exactly what `TraceTemplate::record` walks, taken [`WALK_CHUNK`] steps
+/// at a time. Each member resolves every step against its own linked
+/// image ([`TraceStep::resolve`]) and feeds the op to its own [`Core`],
+/// so it simulates what a walk of its own image would have emitted — the
+/// template exactness argument (`dvs_workloads::TraceTemplate`) applied
+/// to a live walk. A member stops at `trace_instrs` ops; the group ends
+/// when every member has stopped or the walk completes.
+///
+/// Failed and invalid members leave at preparation with their outcome. A
+/// cancel (checked once per chunk) drops the running members unfinished,
+/// so their cells come back short and are reported as cancelled.
+///
+/// Each member is charged only its own preparation and stepping
+/// (`engine.sim_nanos`, `engine.trial_nanos`); the shared walk is charged
+/// once to `walk_nanos` (`engine.walk_nanos`).
+fn run_group(
+    d: &Drain<'_>,
+    cells: &[CellContext],
+    members: &[(usize, u64)],
+    arena: &mut TrialArena,
+    cancel: Option<&CancelToken>,
+    finish: &dyn Fn(usize, u64, TrialOutcome),
+) {
+    struct Member<'a> {
+        ci: usize,
+        trial: u64,
+        image: TrialImage<'a>,
+        core: Core<'a>,
+        link_stats: Option<LinkStats>,
+        /// Time spent on this member alone.
+        nanos: u64,
     }
+    let rec = d.rec();
+    let n = d.cfg.trace_instrs as u64;
+    let (ci0, _) = members[0];
+    let (program, layout) = cells[ci0].variant();
+    let mut running: Vec<Member<'_>> = Vec::with_capacity(members.len());
+    for &(ci, trial) in members {
+        let start = Instant::now();
+        match prepare_trial(d, &cells[ci], trial, Some(arena)) {
+            Ok(p) => {
+                assert_eq!(
+                    p.image.parts().0.num_blocks(),
+                    program.num_blocks(),
+                    "walk group member does not match its variant"
+                );
+                running.push(Member {
+                    ci,
+                    trial,
+                    image: p.image,
+                    core: Core::new(d.core, p.mem),
+                    link_stats: p.link_stats,
+                    nanos: start.elapsed().as_nanos() as u64,
+                });
+            }
+            Err(outcome) => {
+                if let Some(r) = rec {
+                    r.duration("engine.trial_nanos", start.elapsed().as_nanos() as u64);
+                }
+                finish(ci, trial, outcome);
+            }
+        }
+    }
+    d.group_high_water
+        .fetch_max(running.len() as u64, Ordering::Relaxed);
+
+    let mut walker = cells[ci0]
+        .artifacts
+        .workload
+        .trace_program(program, layout, 0);
+    let steps = &mut arena.steps;
+    let mut walk_nanos = 0u64;
+    while !running.is_empty() {
+        if cancel.is_some_and(CancelToken::is_cancelled) {
+            break;
+        }
+        let start = Instant::now();
+        steps.clear();
+        while steps.len() < WALK_CHUNK {
+            let Some(op) = walker.next() else {
+                break;
+            };
+            steps.push(TraceStep {
+                op,
+                meta: walker.last_step_meta(),
+            });
+        }
+        let walk_complete = steps.len() < WALK_CHUNK;
+        walk_nanos += start.elapsed().as_nanos() as u64;
+
+        for m in &mut running {
+            let start = Instant::now();
+            let (program, layout) = m.image.parts();
+            for step in steps.iter() {
+                if m.core.instructions() == n {
+                    break;
+                }
+                if let Some(op) = step.resolve(program, layout) {
+                    m.core.step(op);
+                }
+            }
+            m.nanos += start.elapsed().as_nanos() as u64;
+        }
+
+        for m in running.extract_if(.., |m| walk_complete || m.core.instructions() == n) {
+            let start = Instant::now();
+            let result = m.core.finish();
+            let nanos = m.nanos + start.elapsed().as_nanos() as u64;
+            d.charge_sim(nanos);
+            if let Some(r) = rec {
+                r.duration("engine.trial_nanos", nanos);
+            }
+            finish(m.ci, m.trial, metrics(result, m.link_stats));
+        }
+    }
+    d.counters
+        .walk_nanos
+        .fetch_add(walk_nanos, Ordering::Relaxed);
+    if let Some(r) = rec {
+        r.duration("engine.walk_nanos", walk_nanos);
+    }
+}
+
+/// A simulated trial's outcome.
+fn metrics(result: SimResult, link_stats: Option<LinkStats>) -> TrialOutcome {
     TrialOutcome::Metrics(Box::new(TrialMetrics {
         result,
         counts: counts_of(&result),

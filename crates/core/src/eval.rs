@@ -26,11 +26,12 @@ use dvs_obs::Recorder;
 use dvs_power::energy::{EnergyModel, RunCounts};
 use dvs_sram::stats::Summary;
 use dvs_sram::{CacheGeometry, MilliVolts};
-use dvs_workloads::{Benchmark, Layout, Program, TraceTemplate};
+use dvs_workloads::{Benchmark, Layout, TraceTemplate};
 
 use crate::cancel::CancelToken;
 use crate::engine::{
-    self, BenchArtifacts, CellContext, EngineCounters, EngineStats, ProgressFn, TrialOutcome,
+    self, BenchArtifacts, CellContext, EngineCounters, EngineStats, ProgressFn, Transformed,
+    TrialOutcome,
 };
 use crate::plan::{CellKey, ExperimentPlan};
 use crate::store::{ResultStore, StoreKey, StoredCell};
@@ -50,8 +51,9 @@ use crate::{DvfsPoint, Scheme};
 /// executors) would otherwise commit N × `threads` workers; setting
 /// `max_parallel_trials` bounds the trials *actually executing at any
 /// instant across the whole process*, whatever the number of evaluators.
-/// Each worker reserves a slot on a process-wide gate before claiming a
-/// trial and releases it when the trial finishes, so the effective
+/// Each worker reserves a slot on a process-wide gate for every trial it
+/// is about to run — one per walk-group member, and groups never outgrow
+/// the cap — and releases the slots when they finish, so the effective
 /// parallelism of one evaluator is `min(threads, max_parallel_trials)`
 /// and the process-wide total never exceeds the smallest cap any waiting
 /// evaluator requested. Like `threads`, the cap can never change results
@@ -334,7 +336,7 @@ pub struct Evaluator {
     geometry: CacheGeometry,
     artifacts: HashMap<Benchmark, Arc<BenchArtifacts>>,
     /// BBR-transformed programs per (benchmark, split threshold).
-    transformed: HashMap<(Benchmark, u32), Arc<Program>>,
+    transformed: HashMap<(Benchmark, u32), Arc<Transformed>>,
     /// Recorded trace templates per (benchmark, split threshold); `None`
     /// in the key means the untransformed benchmark program. Templates
     /// replay the walker's op sequence with per-trial address patching —
@@ -487,12 +489,20 @@ impl Evaluator {
             .unwrap_or_else(|| adaptive_max_block_words(point.pfail_word()))
     }
 
-    /// The BBR-compiled program for `benchmark` at a split threshold.
-    fn transformed_for(&mut self, benchmark: Benchmark, max_words: u32) -> Arc<Program> {
+    /// The BBR-compiled program for `benchmark` at a split threshold,
+    /// with its sequential layout.
+    fn transformed_for(&mut self, benchmark: Benchmark, max_words: u32) -> Arc<Transformed> {
         let art = self.artifacts(benchmark);
         self.transformed
             .entry((benchmark, max_words))
-            .or_insert_with(|| Arc::new(bbr_transform(art.workload.program(), max_words)))
+            .or_insert_with(|| {
+                let program = bbr_transform(art.workload.program(), max_words);
+                let seq_layout = Layout::sequential(&program);
+                Arc::new(Transformed {
+                    program,
+                    seq_layout,
+                })
+            })
             .clone()
     }
 
@@ -516,9 +526,12 @@ impl Evaluator {
         let template = match max_words {
             Some(mw) => {
                 let transformed = self.transformed_for(benchmark, mw);
-                let seq = Layout::sequential(&transformed);
                 TraceTemplate::record(
-                    &mut art.workload.trace_program(&transformed, &seq, 0),
+                    &mut art.workload.trace_program(
+                        &transformed.program,
+                        &transformed.seq_layout,
+                        0,
+                    ),
                     budget,
                 )
             }
@@ -559,7 +572,7 @@ impl Evaluator {
         let transformed = self.transformed_for(benchmark, max_words);
         let diag = dvs_analysis::check_trace_equivalence(
             art.workload.program(),
-            &transformed,
+            &transformed.program,
             &dvs_analysis::EquivConfig::default(),
         )
         .err();

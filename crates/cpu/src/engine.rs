@@ -19,85 +19,141 @@ use crate::{BimodalPredictor, Btb, CoreConfig, MemSystem, SimResult};
 /// system and configuration always produce the same cycle count.
 pub fn simulate(
     config: &CoreConfig,
-    mut mem: MemSystem,
+    mem: MemSystem,
     trace: impl Iterator<Item = TraceOp>,
 ) -> SimResult {
-    config.validate();
-    let mut bht = BimodalPredictor::new(config.bht_entries);
-    let mut btb = Btb::new(config.btb_entries, config.btb_ways);
-
-    // Hit latency of the L1I including the scheme's extra cycle — the
-    // front-end pipeline depth that streaming fetch hides and redirects
-    // expose.
-    let l1i_hit = u64::from(mem.latency().l1_hit_cycles) + u64::from(mem.l1i().extra_hit_cycles());
-
-    let mut reg_ready = [0u64; 32];
-    let mut int_alu = vec![0u64; config.int_alu_units as usize];
-    let mut int_mult = vec![0u64; config.int_mult_units as usize];
-    let mut fp_alu = vec![0u64; config.fp_alu_units as usize];
-    let mut fp_mult = vec![0u64; config.fp_mult_units as usize];
-
-    let mut rob: VecDeque<u64> = VecDeque::with_capacity(config.rob_entries as usize);
-    let mut lsq: VecDeque<u64> = VecDeque::with_capacity(config.lsq_entries as usize);
-
-    let mut fetch_cycle = 0u64;
-    let mut fetched_in_cycle = 0u32;
-    let mut pending_redirect: Option<u64> = None;
-
-    let mut last_issue = 0u64;
-    let mut issued_in_cycle = 0u32;
-    let mut last_retire = 0u64;
-
-    let mut instructions = 0u64;
-    let mut synthetic = 0u64;
-    let mut branches = 0u64;
-    let mut mispredicts = 0u64;
-
+    let mut core = Core::new(config, mem);
     for op in trace {
-        instructions += 1;
+        core.step(op);
+    }
+    core.finish()
+}
+
+/// A core part-way through a trace: [`simulate`] with its loop turned
+/// inside out, so a caller can feed ops one at a time — for instance
+/// from a walk shared with other cores — and stop whenever it likes.
+///
+/// `Core::new` + [`Core::step`] per op + [`Core::finish`] is exactly
+/// [`simulate`] over the same ops; `simulate` is that loop.
+#[derive(Debug)]
+pub struct Core<'c> {
+    config: &'c CoreConfig,
+    mem: MemSystem,
+    bht: BimodalPredictor,
+    btb: Btb,
+    /// Hit latency of the L1I including the scheme's extra cycle — the
+    /// front-end pipeline depth that streaming fetch hides and redirects
+    /// expose.
+    l1i_hit: u64,
+    reg_ready: [u64; 32],
+    int_alu: Vec<u64>,
+    int_mult: Vec<u64>,
+    fp_alu: Vec<u64>,
+    fp_mult: Vec<u64>,
+    rob: VecDeque<u64>,
+    lsq: VecDeque<u64>,
+    fetch_cycle: u64,
+    fetched_in_cycle: u32,
+    pending_redirect: Option<u64>,
+    last_issue: u64,
+    issued_in_cycle: u32,
+    last_retire: u64,
+    instructions: u64,
+    synthetic: u64,
+    branches: u64,
+    mispredicts: u64,
+}
+
+impl<'c> Core<'c> {
+    /// A core at cycle 0 with cold predictors, running against `mem`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config` is invalid ([`CoreConfig::validate`]).
+    pub fn new(config: &'c CoreConfig, mem: MemSystem) -> Self {
+        config.validate();
+        let l1i_hit =
+            u64::from(mem.latency().l1_hit_cycles) + u64::from(mem.l1i().extra_hit_cycles());
+        Core {
+            config,
+            bht: BimodalPredictor::new(config.bht_entries),
+            btb: Btb::new(config.btb_entries, config.btb_ways),
+            l1i_hit,
+            mem,
+            reg_ready: [0; 32],
+            int_alu: vec![0; config.int_alu_units as usize],
+            int_mult: vec![0; config.int_mult_units as usize],
+            fp_alu: vec![0; config.fp_alu_units as usize],
+            fp_mult: vec![0; config.fp_mult_units as usize],
+            rob: VecDeque::with_capacity(config.rob_entries as usize),
+            lsq: VecDeque::with_capacity(config.lsq_entries as usize),
+            fetch_cycle: 0,
+            fetched_in_cycle: 0,
+            pending_redirect: None,
+            last_issue: 0,
+            issued_in_cycle: 0,
+            last_retire: 0,
+            instructions: 0,
+            synthetic: 0,
+            branches: 0,
+            mispredicts: 0,
+        }
+    }
+
+    /// Instructions stepped so far.
+    pub fn instructions(&self) -> u64 {
+        self.instructions
+    }
+
+    /// Fetches, issues, executes and retires one instruction.
+    #[inline]
+    pub fn step(&mut self, op: TraceOp) {
+        let config = self.config;
+        let l1i_hit = self.l1i_hit;
+        self.instructions += 1;
         if op.synthetic {
-            synthetic += 1;
+            self.synthetic += 1;
         }
 
         // ---- Fetch ----
-        if fetched_in_cycle == config.width {
-            fetch_cycle += 1;
-            fetched_in_cycle = 0;
+        if self.fetched_in_cycle == config.width {
+            self.fetch_cycle += 1;
+            self.fetched_in_cycle = 0;
         }
-        if let Some(t) = pending_redirect.take() {
-            fetch_cycle = fetch_cycle.max(t);
-            fetched_in_cycle = 0;
+        if let Some(t) = self.pending_redirect.take() {
+            self.fetch_cycle = self.fetch_cycle.max(t);
+            self.fetched_in_cycle = 0;
         }
-        let fetch_lat = mem.fetch(op.pc);
+        let fetch_lat = self.mem.fetch(op.pc);
         if fetch_lat > l1i_hit {
             // I-cache miss: the stream stalls by the excess latency (hit
             // latency itself is pipelined away while streaming).
-            fetch_cycle += fetch_lat - l1i_hit;
+            self.fetch_cycle += fetch_lat - l1i_hit;
         }
-        let fetch_done = fetch_cycle + l1i_hit;
-        fetched_in_cycle += 1;
+        let fetch_done = self.fetch_cycle + l1i_hit;
+        self.fetched_in_cycle += 1;
 
         // ---- Issue (in-order, width per cycle) ----
-        let mut t = fetch_done.max(last_issue);
+        let mut t = fetch_done.max(self.last_issue);
         for r in [op.src1, op.src2].into_iter().flatten() {
-            t = t.max(reg_ready[r as usize]);
+            t = t.max(self.reg_ready[r as usize]);
         }
-        if rob.len() == config.rob_entries as usize {
-            let oldest = rob.pop_front().expect("rob nonempty");
+        if self.rob.len() == config.rob_entries as usize {
+            let oldest = self.rob.pop_front().expect("rob nonempty");
             t = t.max(oldest);
         }
         let is_mem = matches!(op.class, OpClass::Load | OpClass::Store);
-        if is_mem && lsq.len() == config.lsq_entries as usize {
-            let oldest = lsq.pop_front().expect("lsq nonempty");
+        if is_mem && self.lsq.len() == config.lsq_entries as usize {
+            let oldest = self.lsq.pop_front().expect("lsq nonempty");
             t = t.max(oldest);
         }
         // Functional unit: loads, stores and branches use an integer ALU
         // slot (address generation / condition resolution).
         let pool: &mut Vec<u64> = match op.class {
-            OpClass::IntMult => &mut int_mult,
-            OpClass::FpAlu => &mut fp_alu,
-            OpClass::FpMult => &mut fp_mult,
-            _ => &mut int_alu,
+            OpClass::IntMult => &mut self.int_mult,
+            OpClass::FpAlu => &mut self.fp_alu,
+            OpClass::FpMult => &mut self.fp_mult,
+            _ => &mut self.int_alu,
         };
         let (unit_idx, unit_free) = pool
             .iter()
@@ -106,14 +162,14 @@ pub fn simulate(
             .min_by_key(|&(_, free)| free)
             .expect("unit pools are nonempty");
         t = t.max(unit_free);
-        if t == last_issue && issued_in_cycle == config.width {
+        if t == self.last_issue && self.issued_in_cycle == config.width {
             t += 1;
         }
-        if t > last_issue {
-            last_issue = t;
-            issued_in_cycle = 0;
+        if t > self.last_issue {
+            self.last_issue = t;
+            self.issued_in_cycle = 0;
         }
-        issued_in_cycle += 1;
+        self.issued_in_cycle += 1;
         pool[unit_idx] = t + 1; // fully pipelined units
 
         // ---- Execute ----
@@ -122,35 +178,35 @@ pub fn simulate(
             OpClass::IntMult => u64::from(config.int_mult_latency),
             OpClass::FpAlu => u64::from(config.fp_alu_latency),
             OpClass::FpMult => u64::from(config.fp_mult_latency),
-            OpClass::Load => mem.load(op.mem_addr.expect("loads carry addresses")),
+            OpClass::Load => self.mem.load(op.mem_addr.expect("loads carry addresses")),
             OpClass::Store => {
-                mem.store(op.mem_addr.expect("stores carry addresses"));
+                self.mem.store(op.mem_addr.expect("stores carry addresses"));
                 1
             }
         };
         let complete = t + exec_lat;
         if let Some(d) = op.dest {
-            reg_ready[d as usize] = complete;
+            self.reg_ready[d as usize] = complete;
         }
 
         // ---- Retire (in order) ----
-        let retire = complete.max(last_retire);
-        last_retire = retire;
-        rob.push_back(retire);
+        let retire = complete.max(self.last_retire);
+        self.last_retire = retire;
+        self.rob.push_back(retire);
         if is_mem {
-            lsq.push_back(retire);
+            self.lsq.push_back(retire);
         }
 
         // ---- Control flow ----
         if let Some(info) = op.branch {
-            branches += 1;
-            let pred_taken = bht.predict(op.pc);
-            let pred_target = btb.lookup(op.pc);
+            self.branches += 1;
+            let pred_taken = self.bht.predict(op.pc);
+            let pred_target = self.btb.lookup(op.pc);
             let correct =
                 pred_taken == info.taken && (!info.taken || pred_target == Some(info.target));
-            bht.update(op.pc, info.taken);
+            self.bht.update(op.pc, info.taken);
             if info.taken {
-                btb.update(op.pc, info.target);
+                self.btb.update(op.pc, info.target);
             }
             if correct {
                 if info.taken {
@@ -160,34 +216,38 @@ pub fn simulate(
                     // (slower) I-caches pay more per taken branch. This is
                     // the front-end half of the paper's L1-latency
                     // sensitivity (Figure 10).
-                    pending_redirect = Some(fetch_cycle + l1i_hit);
+                    self.pending_redirect = Some(self.fetch_cycle + l1i_hit);
                 }
             } else {
-                mispredicts += 1;
+                self.mispredicts += 1;
                 // The front end restarts after resolution plus the refill
                 // penalty.
-                pending_redirect = Some(complete + u64::from(config.mispredict_penalty));
+                self.pending_redirect = Some(complete + u64::from(config.mispredict_penalty));
             }
         }
     }
 
-    let recorder = mem.recorder().cloned();
-    let result = SimResult {
-        instructions,
-        synthetic,
-        cycles: last_retire.max(1),
-        mem: mem.finish(),
-        branches,
-        mispredicts,
-    };
-    if let Some(rec) = recorder {
-        rec.add("cpu.instructions", result.instructions);
-        rec.add("cpu.synthetic_instructions", result.synthetic);
-        rec.add("cpu.cycles", result.cycles);
-        rec.add("cpu.branches", result.branches);
-        rec.add("cpu.mispredicts", result.mispredicts);
+    /// Ends the run: drains the memory system's statistics and returns
+    /// the aggregate result.
+    pub fn finish(self) -> SimResult {
+        let recorder = self.mem.recorder().cloned();
+        let result = SimResult {
+            instructions: self.instructions,
+            synthetic: self.synthetic,
+            cycles: self.last_retire.max(1),
+            mem: self.mem.finish(),
+            branches: self.branches,
+            mispredicts: self.mispredicts,
+        };
+        if let Some(rec) = recorder {
+            rec.add("cpu.instructions", result.instructions);
+            rec.add("cpu.synthetic_instructions", result.synthetic);
+            rec.add("cpu.cycles", result.cycles);
+            rec.add("cpu.branches", result.branches);
+            rec.add("cpu.mispredicts", result.mispredicts);
+        }
+        result
     }
-    result
 }
 
 #[cfg(test)]
@@ -229,6 +289,24 @@ mod tests {
             branch: None,
             synthetic: false,
         }
+    }
+
+    #[test]
+    fn stepping_a_core_is_simulate() {
+        let wl = Benchmark::Basicmath.build(3);
+        let layout = Layout::sequential(wl.program());
+        let config = CoreConfig::dsn2016();
+        let whole = simulate(
+            &config,
+            clean_mem(SchemeKind::EightT),
+            wl.trace(&layout, 0).take(20_000),
+        );
+        let mut core = Core::new(&config, clean_mem(SchemeKind::EightT));
+        for op in wl.trace(&layout, 0).take(20_000) {
+            core.step(op);
+        }
+        assert_eq!(core.instructions(), 20_000);
+        assert_eq!(core.finish(), whole);
     }
 
     #[test]

@@ -49,6 +49,6 @@ mod result;
 
 pub use bpred::{BimodalPredictor, Btb};
 pub use config::CoreConfig;
-pub use engine::simulate;
+pub use engine::{simulate, Core};
 pub use memsys::MemSystem;
 pub use result::SimResult;

@@ -33,7 +33,7 @@
 
 use std::collections::HashSet;
 
-use dvs_cache::{Addr, L2Cache, LruQueue};
+use dvs_cache::{Addr, CacheCore, L2Cache};
 use dvs_linker::{lint_ids, Diagnostic, Location};
 use dvs_schemes::{L1Cache, SchemeKind, ServedFrom};
 use dvs_sram::{CacheGeometry, FaultMap, FrameId};
@@ -534,8 +534,8 @@ pub fn check_window_function(
     None
 }
 
-/// An LRU replacement machine under bounded checking: the real
-/// [`LruQueue`] and any buggy model shape under study.
+/// An LRU replacement machine under bounded checking: the shipping
+/// [`CoreLru`] and any buggy model shape under study.
 pub trait LruModel {
     /// Marks `way` most recently used.
     fn touch(&mut self, way: u32);
@@ -546,15 +546,38 @@ pub trait LruModel {
     fn rank(&self, way: u32) -> u32;
 }
 
-impl LruModel for LruQueue {
+/// The shipping LRU machine: the replacement state of a one-set
+/// [`CacheCore`]. `touch(w)` hits or fills a block that only ever lives in
+/// way `w`, `reset` is `invalidate_all`, and ranks are the core's
+/// `way_rank`.
+#[derive(Debug)]
+pub struct CoreLru(CacheCore);
+
+impl CoreLru {
+    /// A one-set core of `ways` one-word frames.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `ways` is a power of two.
+    pub fn new(ways: u32) -> Self {
+        let geom = CacheGeometry::new(4 * ways, ways, 4).expect("one-set geometry");
+        CoreLru(CacheCore::new(geom))
+    }
+}
+
+impl LruModel for CoreLru {
     fn touch(&mut self, way: u32) {
-        LruQueue::touch(self, way);
+        // One set and one-word blocks: the tag of block `way` is `way`.
+        let addr = Addr::new(u64::from(way) * 4);
+        if !self.0.lookup(addr).is_hit() {
+            self.0.fill_into(addr, way);
+        }
     }
     fn reset(&mut self) {
-        LruQueue::reset(self);
+        self.0.invalidate_all();
     }
     fn rank(&self, way: u32) -> u32 {
-        LruQueue::rank(self, way)
+        self.0.way_rank(0, way)
     }
 }
 
@@ -571,7 +594,7 @@ pub enum LruOp {
 /// after any op sequence, the machine's recency ranks must equal those
 /// of a fresh machine replaying only the ops since the last reset.
 ///
-/// The real [`LruQueue`] passes. The pre-fix shape — `invalidate_all`
+/// The shipping [`CoreLru`] passes. The pre-fix shape — `invalidate_all`
 /// clearing validity but leaving the recency order untouched (no
 /// `reset()`) — fails on the two-op sequence `[Touch(1), Reset]`: the
 /// stale machine still ranks way 1 most recent.
@@ -729,7 +752,7 @@ pub fn bounded_suite(depth: usize) -> Vec<Diagnostic> {
             .map(Violation::to_diagnostic),
     );
     out.extend(
-        check_lru_reset(&LruQueue::new, geom.ways(), depth)
+        check_lru_reset(&CoreLru::new, geom.ways(), depth)
             .iter()
             .map(Violation::to_diagnostic),
     );
@@ -896,7 +919,7 @@ mod tests {
 
     #[test]
     fn real_lru_queue_resets_fresh() {
-        assert!(check_lru_reset(&LruQueue::new, 4, 4).is_none());
+        assert!(check_lru_reset(&CoreLru::new, 4, 4).is_none());
     }
 
     #[test]

@@ -9,8 +9,7 @@
 //! same exhaustive check. The shrunk counterexamples double as the
 //! regression documentation the ISSUE asks for.
 
-use dvs_cache::LruQueue;
-use dvs_diff::bounded::{check_lru_reset, check_window_function, tiny_geometry, LruModel};
+use dvs_diff::bounded::{check_lru_reset, check_window_function, tiny_geometry, CoreLru, LruModel};
 use dvs_schemes::ffw::window_pattern;
 
 /// The pre-fix window mask shape: `(1u32 << len) - 1`, written with
@@ -56,7 +55,7 @@ fn fixed_window_pattern_passes_the_same_exhaustive_check() {
 
 /// The pre-fix `invalidate_all` shape: validity cleared, recency order
 /// untouched — `reset()` was never called.
-struct StaleOrderLru(LruQueue);
+struct StaleOrderLru(CoreLru);
 
 impl LruModel for StaleOrderLru {
     fn touch(&mut self, way: u32) {
@@ -72,7 +71,7 @@ impl LruModel for StaleOrderLru {
 
 #[test]
 fn bounded_check_rediscovers_the_stale_lru_after_invalidate() {
-    let v = check_lru_reset(&|ways| StaleOrderLru(LruQueue::new(ways)), 2, 3)
+    let v = check_lru_reset(&|ways| StaleOrderLru(CoreLru::new(ways)), 2, 3)
         .expect("a reset that keeps recency order must fail freshness");
     // Minimal shape: one touch perturbs the order, one reset should
     // restore it and (buggily) does not.
@@ -82,7 +81,7 @@ fn bounded_check_rediscovers_the_stale_lru_after_invalidate() {
 #[test]
 fn fixed_lru_queue_passes_the_same_exhaustive_check() {
     for ways in [2, 4] {
-        assert!(check_lru_reset(&LruQueue::new, ways, 4).is_none());
+        assert!(check_lru_reset(&CoreLru::new, ways, 4).is_none());
     }
 }
 

@@ -217,6 +217,13 @@ impl BbrLinker {
     /// plus wall-clock timings (`linker.link_nanos` for the whole link,
     /// `linker.chunk_scan_nanos` per block scanned) go to `recorder`.
     ///
+    /// A caller that memoises images may replay a link's counters when it
+    /// reuses the image instead of linking again (the experiment engine
+    /// does, so its counters read the same at any thread count). Under
+    /// such a caller the counters count images requested, while the
+    /// timers — never replayed — count and time only the links actually
+    /// performed: `linker.link_nanos`'s sample count is that number.
+    ///
     /// # Errors
     ///
     /// Returns [`LinkError`] exactly as [`BbrLinker::link`] does; the

@@ -21,11 +21,13 @@
 //! So a walker over a relaxed program visits the same blocks in the same
 //! order with an identical RNG stream; its trace is the recorded trace
 //! minus the elided synthetic jumps, with addresses from the new layout.
-//! [`TraceTemplate::resolve_into`] reproduces exactly that: it skips
-//! recorded synthetic steps whose block no longer carries an explicit
-//! jump, recomputes `pc` / literal addresses / branch targets from the new
-//! layout, and re-resolves return targets (which depend on whether the
-//! *caller* kept its jump).
+//! [`TraceStep::resolve`] reproduces exactly that, one step at a time: it
+//! skips recorded synthetic steps whose block no longer carries an
+//! explicit jump, recomputes `pc` / literal addresses / branch targets
+//! from the new layout, and re-resolves return targets (which depend on
+//! whether the *caller* kept its jump). [`TraceTemplate::resolve_into`]
+//! applies it to a whole recording; the same rule serves a live walk of
+//! the unrelaxed program, which is how one walk drives several trials.
 
 use crate::walker::{StepMeta, TargetRef};
 use crate::{Layout, Program, TraceOp, TraceWalker};
@@ -39,6 +41,46 @@ pub struct TraceStep {
     pub op: TraceOp,
     /// Layout-independent coordinates of the op.
     pub meta: StepMeta,
+}
+
+impl TraceStep {
+    /// Re-emits this step under `(program, layout)`: the op a fresh
+    /// [`TraceWalker`] over that pair emits at this point of the walk, or
+    /// `None` when relaxation elided this inserted jump (the relaxed
+    /// walker falls through silently and emits nothing).
+    ///
+    /// `program` must be the recording program with a subset of its
+    /// explicit jumps, laid out by `layout` (see [`TraceTemplate`]).
+    #[inline]
+    pub fn resolve(&self, program: &Program, layout: &Layout) -> Option<TraceOp> {
+        let block = self.meta.block;
+        if self.op.synthetic && !program.block(block).explicit_jump {
+            return None;
+        }
+        let mut op = self.op;
+        op.pc = layout.instr_addr(block, self.meta.word);
+        if let Some(ordinal) = self.meta.literal_ordinal {
+            op.mem_addr = Some(layout.literal_addr(program, block) + u64::from(ordinal) * 4);
+        }
+        if let Some(info) = op.branch.as_mut() {
+            info.target = match self.meta.target {
+                Some(TargetRef::Start(target)) => layout.block_start(target),
+                Some(TargetRef::AfterCall(caller)) => {
+                    let caller_block = program.block(caller);
+                    if caller_block.explicit_jump {
+                        layout.instr_addr(caller, caller_block.body_len + 1)
+                    } else {
+                        layout.block_start(caller + 1)
+                    }
+                }
+                Some(TargetRef::SelfPc) => op.pc,
+                // Branches always record a target; keep the recorded
+                // address if one ever slips through.
+                None => info.target,
+            };
+        }
+        Some(op)
+    }
 }
 
 /// A recorded instruction trace that can be resolved against any layout
@@ -153,35 +195,9 @@ impl TraceTemplate {
             if out.len() == n {
                 return true;
             }
-            let block = step.meta.block;
-            // Relaxation elided this inserted jump: the relaxed walker
-            // falls through silently and emits nothing.
-            if step.op.synthetic && !program.block(block).explicit_jump {
-                continue;
+            if let Some(op) = step.resolve(program, layout) {
+                out.push(op);
             }
-            let mut op = step.op;
-            op.pc = layout.instr_addr(block, step.meta.word);
-            if let Some(ordinal) = step.meta.literal_ordinal {
-                op.mem_addr = Some(layout.literal_addr(program, block) + u64::from(ordinal) * 4);
-            }
-            if let Some(info) = op.branch.as_mut() {
-                info.target = match step.meta.target {
-                    Some(TargetRef::Start(target)) => layout.block_start(target),
-                    Some(TargetRef::AfterCall(caller)) => {
-                        let caller_block = program.block(caller);
-                        if caller_block.explicit_jump {
-                            layout.instr_addr(caller, caller_block.body_len + 1)
-                        } else {
-                            layout.block_start(caller + 1)
-                        }
-                    }
-                    Some(TargetRef::SelfPc) => op.pc,
-                    // Branches always record a target; keep the recorded
-                    // address if one ever slips through.
-                    None => info.target,
-                };
-            }
-            out.push(op);
         }
         out.len() >= n || self.complete
     }
